@@ -350,7 +350,7 @@ impl LookupService for EmbLookup {
 
 /// Degree of parallelism for bulk paths. Delegates to the pool's cached
 /// [`emblookup_pool::default_threads`] (`EMBLOOKUP_THREADS` override,
-/// else cores minus one, at least 1) — resolved once per process instead
+/// else `available_parallelism()`) — resolved once per process instead
 /// of re-querying `available_parallelism` on every call.
 pub fn num_threads() -> usize {
     emblookup_pool::default_threads()

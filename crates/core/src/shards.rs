@@ -187,6 +187,54 @@ mod tests {
     }
 
     #[test]
+    fn build_is_bit_identical_across_thread_counts() {
+        use emblookup_embed::{Corpus, FastText, FastTextConfig};
+        use emblookup_pool::{BoundedQueue, Pool};
+        use std::sync::Arc;
+
+        let kg = Arc::new(emblookup_kg::generate(emblookup_kg::SynthKgConfig::small(5)).kg);
+        let mut corpus = Corpus::default();
+        for e in kg.entities() {
+            corpus.add_sentence(e.label.split(' ').map(String::from).collect());
+        }
+        let ft = FastText::train(
+            &corpus,
+            FastTextConfig { dim: 16, buckets: 1 << 10, epochs: 1, ..Default::default() },
+        );
+        let model = Arc::new(EmbLookupModel::new(ft, crate::EmbLookupConfig::tiny(5)));
+        // 4 workers whatever EMBLOOKUP_THREADS says: the build's fan-outs
+        // run on the pool of the worker that calls it
+        let wide_pool = Pool::with_threads_bounded(4, BoundedQueue { cap: 4 });
+        for compression in [
+            Compression::None,
+            Compression::Pq { m: 4, ks: 16 },
+            Compression::HnswPq { m: 8, ef_search: 32, pq_m: 4, pq_ks: 16 },
+        ] {
+            let narrow = ShardedIndex::build(&model, &kg, compression, 3, 1);
+            let (tx, rx) = std::sync::mpsc::channel();
+            let (m, g) = (Arc::clone(&model), Arc::clone(&kg));
+            wide_pool
+                .try_submit(move || {
+                    let _ = tx.send(ShardedIndex::build(&m, &g, compression, 3, 4));
+                })
+                .expect("admitted");
+            let wide = rx.recv().expect("wide build finished");
+            for e in kg.entities().take(60) {
+                let q = model.embed(&e.label);
+                let bits = |hits: Vec<(EntityId, f32)>| {
+                    hits.into_iter().map(|(id, d)| (id, d.to_bits())).collect::<Vec<_>>()
+                };
+                assert_eq!(
+                    bits(narrow.search(&q, 10)),
+                    bits(wide.search(&q, 10)),
+                    "{compression:?} diverged for {:?}",
+                    e.label
+                );
+            }
+        }
+    }
+
+    #[test]
     fn shard_of_is_stable_and_in_range() {
         for n in [1usize, 2, 3, 5, 8] {
             for id in 0..500u32 {

@@ -13,17 +13,26 @@
 //!   them LIFO (cache-warm); idle workers **steal FIFO** from the other
 //!   end or from the injector;
 //! * the **caller participates**: while waiting for its job it executes
-//!   pending tasks instead of blocking, which makes nested
-//!   [`Pool::parallel_for`] calls deadlock-free even on a single worker;
+//!   pending chunks instead of blocking, which makes nested
+//!   [`Pool::parallel_for`] calls deadlock-free even on a single worker.
+//!   A waiting caller runs chunks only — never a queued detached task —
+//!   so one request cannot run nested inside another;
 //! * task closures borrow from the caller's stack. This is safe because
 //!   the submitting call does not return until every chunk of its job
 //!   has completed (the job handle counts outstanding chunks).
 //!
+//! **A fan-out runs on the pool serving it.** When the calling thread is
+//! a worker of some pool, every fan-out it issues (`parallel_*`,
+//! [`Pool::scatter`], the traced variants, [`Pool::join`]) runs on that
+//! worker's own pool, whichever pool it was called on; other threads use
+//! the pool they call. A server that handles requests on a bounded pool
+//! therefore spreads a request's batch over its own idle workers with
+//! no extra parameter, and never wakes a second pool.
+//!
 //! Sizing is resolved once per process by [`default_threads`]
-//! (`EMBLOOKUP_THREADS` override, else `available_parallelism() - 1`,
-//! min 1) and shared through the lazily-initialized [`Pool::global`].
-//! Tests that need explicit widths construct their own
-//! [`Pool::with_threads`].
+//! (`EMBLOOKUP_THREADS` override, else `available_parallelism()`) and
+//! shared through the lazily-initialized [`Pool::global`]. Tests that
+//! need explicit widths construct their own [`Pool::with_threads`].
 //!
 //! Panics inside tasks are contained per L001: [`Pool::try_parallel_for`]
 //! surfaces them as a [`TaskPanic`] error; the panicking variants rethrow
@@ -42,7 +51,7 @@ use emblookup_obs::names;
 use emblookup_obs::TraceSpan;
 use emblookup_obs::{Counter, Gauge};
 use std::any::Any;
-use std::cell::Cell;
+use std::cell::OnceCell;
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -160,26 +169,31 @@ impl std::fmt::Display for QueueFull {
 
 impl std::error::Error for QueueFull {}
 
-/// A unit of executable work: either one chunk of a `parallel_for`-style
-/// job, or a detached fire-and-forget closure from [`Pool::try_submit`].
-enum Task {
-    /// A half-open index range of one chunked job.
-    Chunk { job: Arc<JobCore>, lo: usize, hi: usize },
-    /// An owned closure with no completion handle; panics are contained
-    /// and dropped so the worker survives.
-    Detached(Box<dyn FnOnce() + Send + 'static>),
+/// One chunk of a `parallel_for`-style job: the half-open index range
+/// `lo..hi`.
+struct Chunk {
+    job: Arc<JobCore>,
+    lo: usize,
+    hi: usize,
 }
+
+/// A detached fire-and-forget closure from [`Pool::try_submit`]; panics
+/// are contained and dropped so the worker survives.
+type Detached = Box<dyn FnOnce() + Send + 'static>;
 
 struct Shared {
     /// One deque per worker; owners pop LIFO, thieves steal FIFO.
-    deques: Vec<Mutex<VecDeque<Task>>>,
-    /// Overflow queue for submissions from non-worker threads.
-    injector: Mutex<VecDeque<Task>>,
+    deques: Vec<Mutex<VecDeque<Chunk>>>,
+    /// Chunks submitted from threads outside the pool.
+    injector: Mutex<VecDeque<Chunk>>,
+    /// Detached tasks waiting for a worker. Kept apart from the chunk
+    /// queues so a help-waiting caller can never pick one up.
+    detached: Mutex<VecDeque<Detached>>,
     /// Tasks currently sitting in any queue (not yet picked up).
     // lint: atomic(refcount) gates the worker sleep/wake handshake
     queued: AtomicUsize,
-    /// Detached tasks currently waiting in the injector (the quantity the
-    /// bounded mode caps).
+    /// Detached tasks currently waiting (the quantity the bounded mode
+    /// caps).
     // lint: atomic(refcount) gates the bounded-injector admission wait
     detached_queued: AtomicUsize,
     /// `usize::MAX` when unbounded.
@@ -204,22 +218,31 @@ impl Shared {
         self.queue_depth.set(prev.saturating_sub(1) as f64);
     }
 
-    /// Pops a task: own deque back (LIFO) first when called from worker
-    /// `me`, then the injector, then the other deques' front (steal).
-    fn find_task(&self, me: Option<usize>) -> Option<Task> {
+    /// Wakes parked workers; taking the sleep lock orders this notify
+    /// after any in-progress queue check inside their park sequence.
+    fn wake_workers(&self) {
+        let _g = lock(&self.sleep);
+        self.wake.notify_all();
+    }
+
+    /// Pops a chunk: own deque back (LIFO) first when called from worker
+    /// `me`, then the injector front.
+    fn find_chunk(&self, me: Option<usize>) -> Option<Chunk> {
         if let Some(i) = me {
-            if let Some(t) = lock(&self.deques[i]).pop_back() {
+            if let Some(c) = lock(&self.deques[i]).pop_back() {
                 self.note_dequeued();
-                return Some(t);
+                return Some(c);
             }
         }
-        if let Some(t) = lock(&self.injector).pop_front() {
-            if matches!(t, Task::Detached(_)) {
-                self.detached_queued.fetch_sub(1, Ordering::AcqRel);
-            }
+        if let Some(c) = lock(&self.injector).pop_front() {
             self.note_dequeued();
-            return Some(t);
+            return Some(c);
         }
+        None
+    }
+
+    /// Steals the front chunk of another worker's deque.
+    fn steal_chunk(&self, me: Option<usize>) -> Option<Chunk> {
         let n = self.deques.len();
         let start = me.map(|i| i + 1).unwrap_or(0);
         for off in 0..n {
@@ -227,69 +250,155 @@ impl Shared {
             if Some(j) == me {
                 continue;
             }
-            if let Some(t) = lock(&self.deques[j]).pop_front() {
+            if let Some(c) = lock(&self.deques[j]).pop_front() {
                 self.note_dequeued();
                 self.steals.inc();
-                return Some(t);
+                return Some(c);
             }
         }
         None
     }
 
-    /// Runs one task under `catch_unwind`. Chunk panics record the first
-    /// payload on their job and signal completion of the last chunk;
-    /// detached panics are contained and dropped — the submitting side
-    /// (e.g. the serving layer) is responsible for converting its own
-    /// panics into error responses before they reach the pool boundary.
-    fn run_task(&self, task: Task) {
+    /// Pops a detached task.
+    fn find_detached(&self) -> Option<Detached> {
+        let f = lock(&self.detached).pop_front()?;
+        self.detached_queued.fetch_sub(1, Ordering::AcqRel);
+        self.note_dequeued();
+        Some(f)
+    }
+
+    /// Runs one chunk under `catch_unwind`, recording the first panic
+    /// payload on its job and signalling completion of the last chunk.
+    fn run_chunk(&self, chunk: Chunk) {
+        let Chunk { job, lo, hi } = chunk;
         self.tasks_total.inc();
-        match task {
-            Task::Chunk { job, lo, hi } => {
-                let result = panic::catch_unwind(AssertUnwindSafe(|| unsafe {
-                    (job.call)(job.data, lo, hi)
-                }));
-                if let Err(payload) = result {
-                    let mut slot = lock(&job.panic_payload);
-                    if slot.is_none() {
-                        *slot = Some(payload);
-                    }
-                }
-                if job.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    let mut done = lock(&job.done);
-                    *done = true;
-                    job.done_cv.notify_all();
-                }
+        // SAFETY: `data` and `call` were paired by `job_for`, and the
+        // submitting frame that owns `data` blocks until `pending` hits 0.
+        let result = panic::catch_unwind(AssertUnwindSafe(|| unsafe { (job.call)(job.data, lo, hi) }));
+        if let Err(payload) = result {
+            let mut slot = lock(&job.panic_payload);
+            if slot.is_none() {
+                *slot = Some(payload);
             }
-            Task::Detached(f) => {
-                let _ = panic::catch_unwind(AssertUnwindSafe(f));
-            }
+        }
+        if job.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+            let mut done = lock(&job.done);
+            *done = true;
+            job.done_cv.notify_all();
         }
     }
 
-    fn push_tasks(&self, tasks: Vec<Task>, me: Option<usize>) {
-        let n = tasks.len();
+    /// Runs one detached task; a panic is contained and dropped — the
+    /// submitting side (e.g. the serving layer) is responsible for
+    /// converting its own panics into error responses before they reach
+    /// the pool boundary.
+    fn run_detached(&self, f: Detached) {
+        self.tasks_total.inc();
+        let _ = panic::catch_unwind(AssertUnwindSafe(f));
+    }
+
+    fn push_chunks(&self, chunks: Vec<Chunk>, me: Option<usize>) {
+        let n = chunks.len();
         match me {
-            Some(i) => lock(&self.deques[i]).extend(tasks),
-            None => lock(&self.injector).extend(tasks),
+            Some(i) => lock(&self.deques[i]).extend(chunks),
+            None => lock(&self.injector).extend(chunks),
         }
         self.note_enqueued(n);
-        // taking the sleep lock orders this notify after any in-progress
-        // queue check inside the workers' park sequence
-        let _g = lock(&self.sleep);
-        self.wake.notify_all();
+        self.wake_workers();
+    }
+
+    /// Splits `0..n` into chunks and executes `runner(lo, hi)` for each
+    /// across this pool, helping from the calling thread (worker `me`,
+    /// or an outside thread when `None`) until done.
+    fn run_chunked<F>(&self, me: Option<usize>, n: usize, grain: usize, runner: &F) -> Result<(), TaskPanic>
+    where
+        F: Fn(usize, usize) + Sync,
+    {
+        if n == 0 {
+            return Ok(());
+        }
+        let grain = grain.max(1);
+        // threads that can run a chunk: the workers, plus an outside
+        // caller, which helps
+        let width = self.deques.len() + usize::from(me.is_none());
+        // enough chunks for balance, not so many that queue traffic wins
+        let chunks = n.div_ceil(grain).min(width * 4).max(1);
+        if width == 1 || chunks == 1 {
+            // inline execution still counts as one task so `pool.tasks`
+            // reflects throughput on single-core hosts
+            self.tasks_total.inc();
+            let result = panic::catch_unwind(AssertUnwindSafe(|| runner(0, n)));
+            return result.map_err(|p| TaskPanic::from_payload(p.as_ref()));
+        }
+        let chunk = n.div_ceil(chunks);
+        let ranges: Vec<(usize, usize)> = (0..chunks)
+            .map(|t| (t * chunk, ((t + 1) * chunk).min(n)))
+            .filter(|&(lo, hi)| lo < hi)
+            .collect();
+        let job = job_for(runner, ranges.len());
+        let tasks = ranges
+            .into_iter()
+            .map(|(lo, hi)| Chunk { job: Arc::clone(&job), lo, hi })
+            .collect();
+        self.push_chunks(tasks, me);
+        self.help_until_done(me, &job);
+        let panicked = lock(&job.panic_payload).take();
+        match panicked {
+            Some(payload) => Err(TaskPanic::from_payload(payload.as_ref())),
+            None => Ok(()),
+        }
+    }
+
+    /// Executes pending chunks (any job) until `job` completes; parks on
+    /// the job's condvar only when no runnable chunk exists. Detached
+    /// tasks are never run here: they are other requests, and running
+    /// one would nest it inside the caller's.
+    fn help_until_done(&self, me: Option<usize>, job: &Arc<JobCore>) {
+        loop {
+            if *lock(&job.done) {
+                return;
+            }
+            if let Some(c) = self.find_chunk(me).or_else(|| self.steal_chunk(me)) {
+                self.run_chunk(c);
+                continue;
+            }
+            let guard = lock(&job.done);
+            if *guard {
+                return;
+            }
+            // short timeout: a nested job may enqueue helpable chunks
+            // without signalling this job's condvar
+            let _ = job
+                .done_cv
+                .wait_timeout(guard, Duration::from_millis(1))
+                .unwrap_or_else(PoisonError::into_inner);
+        }
     }
 }
 
 thread_local! {
-    /// `(Shared address, worker index)` of the pool this thread works for.
-    static WORKER: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
+    /// The pool this thread works for and its worker index; set once
+    /// when a worker starts. Fan-outs from a worker run on this pool.
+    static WORKER: OnceCell<(Arc<Shared>, usize)> = const { OnceCell::new() };
 }
 
 fn worker_loop(shared: Arc<Shared>, me: usize) {
-    WORKER.with(|w| w.set(Some((Arc::as_ptr(&shared) as usize, me))));
+    WORKER.with(|w| {
+        let _ = w.set((Arc::clone(&shared), me));
+    });
     loop {
-        if let Some(task) = shared.find_task(Some(me)) {
-            shared.run_task(task);
+        // own and injected chunks first (in-flight requests finish
+        // before new ones start), then a new detached task, then steal
+        if let Some(c) = shared.find_chunk(Some(me)) {
+            shared.run_chunk(c);
+            continue;
+        }
+        if let Some(f) = shared.find_detached() {
+            shared.run_detached(f);
+            continue;
+        }
+        if let Some(c) = shared.steal_chunk(Some(me)) {
+            shared.run_chunk(c);
             continue;
         }
         if shared.shutdown.load(Ordering::Acquire) {
@@ -337,6 +446,7 @@ impl Pool {
         let shared = Arc::new(Shared {
             deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             injector: Mutex::new(VecDeque::new()),
+            detached: Mutex::new(VecDeque::new()),
             queued: AtomicUsize::new(0),
             detached_queued: AtomicUsize::new(0),
             injector_cap,
@@ -373,7 +483,7 @@ impl Pool {
         self.shared.deques.len() + 1
     }
 
-    /// Detached tasks currently waiting in the injector — the serving
+    /// Detached tasks currently waiting for a worker — the serving
     /// layer mirrors this into its `serve.queue.depth` gauge.
     pub fn detached_depth(&self) -> usize {
         self.shared.detached_queued.load(Ordering::Acquire)
@@ -389,7 +499,7 @@ impl Pool {
     /// admission-control primitive of the serving layer: reject work while
     /// it is still cheap instead of queueing unboundedly.
     ///
-    /// The capacity check and the push happen under the injector lock, so
+    /// The capacity check and the push happen under the queue lock, so
     /// the cap is exact. Tasks already *executing* on a worker do not
     /// count against the cap — the bound is on waiting work. A panic
     /// inside `f` is contained by the worker and dropped.
@@ -408,27 +518,36 @@ impl Pool {
             return Ok(());
         }
         {
-            let mut inj = lock(&self.shared.injector);
+            let mut queue = lock(&self.shared.detached);
             let depth = self.shared.detached_queued.load(Ordering::Acquire);
             if depth >= self.shared.injector_cap {
                 return Err(QueueFull { cap: self.shared.injector_cap, depth });
             }
             self.shared.detached_queued.fetch_add(1, Ordering::AcqRel);
-            inj.push_back(Task::Detached(Box::new(f)));
+            queue.push_back(Box::new(f));
         }
         self.shared.note_enqueued(1);
-        let _g = lock(&self.shared.sleep);
-        self.shared.wake.notify_all();
+        self.shared.wake_workers();
         Ok(())
     }
 
-    /// Worker index when the current thread belongs to this pool.
-    fn current_worker(&self) -> Option<usize> {
-        let key = Arc::as_ptr(&self.shared) as usize;
+    /// Calls `f` with the pool a fan-out from this thread runs on, and
+    /// the caller's worker index there: the pool this thread is a worker
+    /// of, else `self` with no index.
+    fn on_serving_pool<R>(&self, f: impl FnOnce(&Shared, Option<usize>) -> R) -> R {
         WORKER.with(|w| match w.get() {
-            Some((pool, idx)) if pool == key => Some(idx),
-            _ => None,
+            Some((shared, me)) => f(shared, Some(*me)),
+            None => f(&self.shared, None),
         })
+    }
+
+    /// Splits `0..n` into chunks and executes `runner(lo, hi)` for each
+    /// on the serving pool (see the crate docs).
+    fn run_chunked<F>(&self, n: usize, grain: usize, runner: &F) -> Result<(), TaskPanic>
+    where
+        F: Fn(usize, usize) + Sync,
+    {
+        self.on_serving_pool(|shared, me| shared.run_chunked(me, n, grain, runner))
     }
 
     /// Runs `f(i)` for every `i in 0..n`, splitting the range into chunks
@@ -667,8 +786,9 @@ impl Pool {
     }
 
     /// Runs two closures, potentially in parallel: `b` is offered to the
-    /// pool while the caller runs `a`, then the caller helps until `b`
-    /// finishes. Panics from either side are rethrown once both settled.
+    /// serving pool while the caller runs `a`, then the caller helps
+    /// until `b` finishes. Panics from either side are rethrown once both
+    /// settled.
     pub fn join<A, B, RA, RB>(&self, a: A, b: B) -> (RA, RB)
     where
         A: FnOnce() -> RA + Send,
@@ -676,7 +796,19 @@ impl Pool {
         RA: Send,
         RB: Send,
     {
-        if self.shared.deques.is_empty() {
+        self.on_serving_pool(|shared, me| shared.join(me, a, b))
+    }
+}
+
+impl Shared {
+    fn join<A, B, RA, RB>(&self, me: Option<usize>, a: A, b: B) -> (RA, RB)
+    where
+        A: FnOnce() -> RA + Send,
+        B: FnOnce() -> RB + Send,
+        RA: Send,
+        RB: Send,
+    {
+        if self.deques.len() + usize::from(me.is_none()) == 1 {
             return (a(), b());
         }
         let cell: Mutex<(Option<B>, Option<RB>)> = Mutex::new((Some(b), None));
@@ -688,13 +820,11 @@ impl Pool {
             }
         };
         let job = job_for(&runner, 1);
-        let me = self.current_worker();
-        self.shared
-            .push_tasks(vec![Task::Chunk { job: Arc::clone(&job), lo: 0, hi: 1 }], me);
+        self.push_chunks(vec![Chunk { job: Arc::clone(&job), lo: 0, hi: 1 }], me);
         // run `a` on the caller; contain its panic so we never unwind
         // while `b` may still borrow `runner`/`cell` from this frame
         let ra = panic::catch_unwind(AssertUnwindSafe(a));
-        self.help_until_done(&job);
+        self.help_until_done(me, &job);
         let b_panic = lock(&job.panic_payload).take();
         match ra {
             Err(payload) => panic::resume_unwind(payload),
@@ -710,72 +840,6 @@ impl Pool {
                     None => TaskPanic { message: "join: task result missing".to_owned() }.resume(),
                 }
             }
-        }
-    }
-
-    /// Splits `0..n` into chunks and executes `runner(lo, hi)` for each
-    /// across the pool, helping from the calling thread until done.
-    fn run_chunked<F>(&self, n: usize, grain: usize, runner: &F) -> Result<(), TaskPanic>
-    where
-        F: Fn(usize, usize) + Sync,
-    {
-        if n == 0 {
-            return Ok(());
-        }
-        let grain = grain.max(1);
-        let workers = self.shared.deques.len();
-        // enough chunks for balance, not so many that queue traffic wins
-        let max_chunks = (workers + 1) * 4;
-        let chunks = n.div_ceil(grain).min(max_chunks).max(1);
-        if workers == 0 || chunks == 1 {
-            // inline execution still counts as one task so `pool.tasks`
-            // reflects throughput on single-core hosts
-            self.shared.tasks_total.inc();
-            let result = panic::catch_unwind(AssertUnwindSafe(|| runner(0, n)));
-            return result.map_err(|p| TaskPanic::from_payload(p.as_ref()));
-        }
-        let chunk = n.div_ceil(chunks);
-        let ranges: Vec<(usize, usize)> = (0..chunks)
-            .map(|t| (t * chunk, ((t + 1) * chunk).min(n)))
-            .filter(|&(lo, hi)| lo < hi)
-            .collect();
-        let job = job_for(runner, ranges.len());
-        let me = self.current_worker();
-        let tasks = ranges
-            .into_iter()
-            .map(|(lo, hi)| Task::Chunk { job: Arc::clone(&job), lo, hi })
-            .collect();
-        self.shared.push_tasks(tasks, me);
-        self.help_until_done(&job);
-        let panicked = lock(&job.panic_payload).take();
-        match panicked {
-            Some(payload) => Err(TaskPanic::from_payload(payload.as_ref())),
-            None => Ok(()),
-        }
-    }
-
-    /// Executes pending tasks (any job) until `job` completes; parks on
-    /// the job's condvar only when no runnable task exists.
-    fn help_until_done(&self, job: &Arc<JobCore>) {
-        let me = self.current_worker();
-        loop {
-            if *lock(&job.done) {
-                return;
-            }
-            if let Some(task) = self.shared.find_task(me) {
-                self.shared.run_task(task);
-                continue;
-            }
-            let guard = lock(&job.done);
-            if *guard {
-                return;
-            }
-            // short timeout: a nested job may enqueue helpable tasks
-            // without signalling this job's condvar
-            let _ = job
-                .done_cv
-                .wait_timeout(guard, Duration::from_millis(1))
-                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
@@ -794,8 +858,8 @@ impl Drop for Pool {
 }
 
 /// Process-wide parallelism: the `EMBLOOKUP_THREADS` environment variable
-/// when set to a positive integer, else `available_parallelism() - 1`
-/// (at least 1). Resolved once and cached — every sizing decision in the
+/// when set to a positive integer, else `available_parallelism()` (1 when
+/// unknown). Resolved once and cached — every sizing decision in the
 /// workspace routes through this single point.
 pub fn default_threads() -> usize {
     static CACHED: OnceLock<usize> = OnceLock::new();
@@ -807,9 +871,7 @@ pub fn default_threads() -> usize {
         {
             return n;
         }
-        std::thread::available_parallelism()
-            .map(|n| n.get().saturating_sub(1).max(1))
-            .unwrap_or(1)
+        std::thread::available_parallelism().map_or(1, |n| n.get())
     })
 }
 
@@ -1114,6 +1176,116 @@ mod tests {
         let pool = Pool::with_threads(4);
         pool.parallel_for(100, 5, |_| {});
         drop(pool); // must not hang
+    }
+
+    /// Address of the pool the current thread is a worker of.
+    fn home_pool() -> Option<usize> {
+        WORKER.with(|w| w.get().map(|(shared, _)| Arc::as_ptr(shared) as usize))
+    }
+
+    /// Spins (sleeping 1 ms) until `flag` is set or 5 s pass.
+    fn wait_for(flag: &AtomicBool) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while !flag.load(Ordering::Acquire) && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn worker_fan_out_runs_on_its_own_pool_and_is_stolen() {
+        let f = |i: usize| (i as f32).sqrt() * 1.5 + (i % 7) as f32;
+        let pool = Pool::with_threads_bounded(2, BoundedQueue { cap: 8 });
+        let steals = emblookup_obs::global().counter(names::POOL_STEALS);
+        let before = steals.get();
+        let (tx, rx) = std::sync::mpsc::channel();
+        pool.try_submit(move || {
+            let owner = std::thread::current().id();
+            let home = home_pool();
+            let sibling_ran = AtomicBool::new(false);
+            let foreign_ran = AtomicBool::new(false);
+            // called on the global pool, but issued from a worker: it
+            // must run on this worker's pool
+            let out = Pool::global().parallel_map(64, 1, |i| {
+                if std::thread::current().id() == owner {
+                    // hold the submitter until the idle sibling has
+                    // stolen a chunk from its deque
+                    wait_for(&sibling_ran);
+                } else if home_pool() == home {
+                    sibling_ran.store(true, Ordering::Release);
+                } else {
+                    foreign_ran.store(true, Ordering::Release);
+                }
+                f(i)
+            });
+            let _ = tx.send((out, sibling_ran.into_inner(), foreign_ran.into_inner()));
+        })
+        .expect("admitted");
+        let (out, sibling_ran, foreign_ran) = rx.recv_timeout(Duration::from_secs(10)).expect("fan-out done");
+        assert!(sibling_ran, "the idle sibling worker never ran a chunk");
+        assert!(!foreign_ran, "a chunk ran outside the submitting worker's pool");
+        assert!(steals.get() > before, "pool.steal did not move");
+        let serial = Pool::with_threads(1).parallel_map(64, 1, f);
+        assert!(out.iter().zip(&serial).all(|(x, y)| x.to_bits() == y.to_bits()));
+        assert_eq!(out.len(), serial.len());
+    }
+
+    #[test]
+    fn help_waiting_caller_never_runs_a_detached_task() {
+        let pool = Pool::with_threads_bounded(2, BoundedQueue { cap: 8 });
+        let owner: Arc<Mutex<Option<std::thread::ThreadId>>> = Arc::new(Mutex::new(None));
+        let in_fan_out = Arc::new(AtomicBool::new(false));
+        let stolen = Arc::new(AtomicBool::new(false));
+        let b_ran = Arc::new(AtomicBool::new(false));
+        let (a_owner, a_in, a_stolen, a_b_ran) =
+            (Arc::clone(&owner), Arc::clone(&in_fan_out), Arc::clone(&stolen), Arc::clone(&b_ran));
+        let (a_tx, a_rx) = std::sync::mpsc::channel();
+        pool.try_submit(move || {
+            let me = std::thread::current().id();
+            *lock(&a_owner) = Some(me);
+            a_in.store(true, Ordering::Release);
+            Pool::global().parallel_for(2, 1, |_| {
+                if std::thread::current().id() == me {
+                    wait_for(&a_stolen);
+                } else {
+                    // keep the job open while the submitter, its own
+                    // chunk done, help-waits next to the queued task B;
+                    // both workers are busy, so B can only run early by
+                    // nesting inside the submitter's wait
+                    a_stolen.store(true, Ordering::Release);
+                    let deadline = std::time::Instant::now() + Duration::from_millis(500);
+                    while !a_b_ran.load(Ordering::Acquire) && std::time::Instant::now() < deadline {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                }
+            });
+            a_in.store(false, Ordering::Release);
+            let _ = a_tx.send(());
+        })
+        .expect("A admitted");
+        wait_for(&stolen);
+        assert!(stolen.load(Ordering::Acquire), "no sibling took a chunk");
+        let (b_owner, b_in, b_done) = (Arc::clone(&owner), Arc::clone(&in_fan_out), Arc::clone(&b_ran));
+        let (b_tx, b_rx) = std::sync::mpsc::channel();
+        pool.try_submit(move || {
+            let nested = b_in.load(Ordering::Acquire) && *lock(&b_owner) == Some(std::thread::current().id());
+            b_done.store(true, Ordering::Release);
+            let _ = b_tx.send(nested);
+        })
+        .expect("B admitted");
+        a_rx.recv_timeout(Duration::from_secs(10)).expect("A finished");
+        let nested = b_rx.recv_timeout(Duration::from_secs(10)).expect("B ran");
+        assert!(!nested, "a detached task ran nested inside a help-waiting fan-out");
+    }
+
+    #[test]
+    fn default_width_is_the_machine_width() {
+        let env = std::env::var("EMBLOOKUP_THREADS")
+            .ok()
+            .and_then(|v| v.trim().parse::<usize>().ok())
+            .filter(|&n| n >= 1);
+        let machine = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(default_threads(), env.unwrap_or(machine));
+        assert_eq!(Pool::global().threads(), default_threads());
     }
 
     #[test]

@@ -99,12 +99,15 @@ pub struct Connection {
 }
 
 impl Connection {
-    /// Connects with a 30 s read timeout.
+    /// Connects with a 30 s read timeout and `TCP_NODELAY`, so a
+    /// pipelined request leaves without waiting for the server's ACK of
+    /// the previous one.
     ///
     /// # Errors
     /// Propagates connect/configure failures.
     pub fn open(addr: SocketAddr) -> std::io::Result<Connection> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(Duration::from_secs(30)))?;
         Ok(Connection { stream })
     }

@@ -64,9 +64,7 @@ impl Ladder {
             labels.push((entity.id, entity.label.clone()));
         }
         let refs: Vec<&str> = labels.iter().map(|(_, l)| l.as_str()).collect();
-        // threads = 1: the fallback set is small and sequential
-        // embedding keeps startup independent of pool configuration.
-        let embedded = service.model().embed_batch(&refs, 1);
+        let embedded = service.model().embed_batch(&refs, emblookup_core::num_threads());
         let mut vectors = VectorSet::new(service.model().dim().max(1));
         for v in &embedded {
             vectors.push(v);

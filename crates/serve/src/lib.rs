@@ -79,7 +79,9 @@ pub struct ServeConfig {
     /// Bind address; `"127.0.0.1:0"` picks a free port.
     pub addr: String,
     /// Worker threads for the request pool; `0` means
-    /// [`emblookup_pool::default_threads`].
+    /// [`emblookup_pool::default_threads`] (the machine's core count
+    /// unless `EMBLOOKUP_THREADS` is set). A request's batch and shard
+    /// fan-out runs on these same workers.
     pub workers: usize,
     /// Bounded-injector capacity: queued-but-unstarted requests beyond
     /// this are shed with `429`.

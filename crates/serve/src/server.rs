@@ -29,7 +29,7 @@
 //!
 //! With `ServeConfig::shards > 1` the entity set is hash-partitioned at
 //! startup into a [`ShardedIndex`]; the full rung then scatter-gathers
-//! every live shard on the global pool, each under a private slice of
+//! every live shard on the request pool, each under a private slice of
 //! the request's remaining deadline budget, and merges per-shard top-k
 //! deterministically (`total_cmp`, ties on entity id). A per-shard
 //! [`ShardBreaker`] ejects a shard after consecutive failures and
@@ -253,14 +253,12 @@ impl Server {
         let queue_cap = config.queue_cap;
         let hub = TraceHub::new(config.trace_ring_cap, config.trace_retain_per_trigger, &registry);
         let sharded = if config.shards > 1 {
-            // Built single-threaded like the ladder: startup cost, paid
-            // once, in exchange for a deterministic partition.
             let index = ShardedIndex::build(
                 service.model(),
                 kg,
                 service.model().config().compression,
                 config.shards,
-                1,
+                emblookup_core::num_threads(),
             );
             let breakers = (0..index.num_shards())
                 .map(|_| ShardBreaker::new(config.breaker_threshold, config.breaker_cooldown))
@@ -366,6 +364,15 @@ fn accept_loop(
     }
 }
 
+/// Socket options of an accepted connection: the read timeout
+/// (`read_timeout_ms`, at least 1 ms) that closes idle keep-alive peers,
+/// and `TCP_NODELAY`, so a response written behind an unacknowledged one
+/// leaves at once instead of waiting for the peer's delayed ACK.
+fn configure_accepted(stream: &TcpStream, read_timeout_ms: u64) -> io::Result<()> {
+    stream.set_read_timeout(Some(Duration::from_millis(read_timeout_ms.max(1))))?;
+    stream.set_nodelay(true)
+}
+
 /// Serves one keep-alive connection: reads requests in order until the
 /// client closes, asks for `Connection: close`, errors, or shutdown.
 fn connection_loop(
@@ -374,9 +381,7 @@ fn connection_loop(
     pool: &Arc<Pool>,
     shutdown: &AtomicBool,
 ) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(
-        state.config.read_timeout_ms.max(1),
-    )));
+    let _ = configure_accepted(&stream, state.config.read_timeout_ms);
     loop {
         if shutdown.load(Ordering::SeqCst) {
             return;
@@ -814,7 +819,7 @@ struct ShardReq {
 }
 
 /// Scatter-gathers one closure across every breaker-admitted shard on
-/// the global pool, each attempt under a private slice of the request's
+/// the request pool, each attempt under a private slice of the request's
 /// remaining deadline budget. Returns the delivered per-shard results
 /// (in shard order), the number of shards that answered, and the total
 /// shard count.
@@ -860,6 +865,8 @@ fn scatter_shards<T: Send>(
             span
         })
         .collect();
+    // Called from a request worker, so this runs on the server's own
+    // pool: idle workers take shards, busy ones leave them to the caller.
     let outcomes = Pool::global().scatter(attempted.len(), |i| {
         let shard_idx = attempted[i];
         let span = &spans[i];
@@ -1290,4 +1297,25 @@ fn handle_bulk(
     out.push_str("]}");
     rank_span.finish();
     tag(Response::json(200, out))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accepted_sockets_get_nodelay_and_the_read_timeout() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        // the kernel keeps the timeout in scheduler ticks, so it reads
+        // back rounded up to the tick
+        let timeout_ms = |s: &TcpStream| s.read_timeout().unwrap().map(|t| t.as_millis());
+        configure_accepted(&stream, 1500).unwrap();
+        assert!(stream.nodelay().unwrap());
+        assert!(timeout_ms(&stream).is_some_and(|t| (1500..1520).contains(&t)));
+        // a zero timeout would mean "block forever"; it is clamped to 1 ms
+        configure_accepted(&stream, 0).unwrap();
+        assert!(timeout_ms(&stream).is_some_and(|t| (1..20).contains(&t)));
+    }
 }

@@ -541,6 +541,37 @@ fn debug_traces_bit_identical_across_pool_widths() {
     let b = client::get(wide.addr(), "/debug/traces/chrome").unwrap();
     let mask = |s: &str| mask_numeric_key(s, "tid");
     assert_eq!(mask(&a.body), mask(&b.body), "chrome exports diverged across widths");
+
+    // A bulk request's batch — and, sharded, its shard scatter — fans
+    // out on the server's own workers, so its answer and span tree must
+    // not depend on how many workers there are either.
+    let (_, kg) = shared_model();
+    let cells: Vec<String> = (0..24u32)
+        .map(|i| format!("\"{}\"", kg.label(emblookup_kg::EntityId(i % 16))))
+        .collect();
+    let bulk = format!("{{\"queries\":[{}],\"k\":3}}", cells.join(","));
+    let header = [("x-emblookup-trace-id", "b0b")];
+    for (shards, fan_out_span, spans) in [(1, "pool.chunk", 8), (3, "stage.shard", 3)] {
+        let config = |workers| ServeConfig {
+            workers,
+            shards,
+            faults: Some(FaultConfig::Scripted { plan: vec![StageFaults::default()], virtual_time: true }),
+            ..ServeConfig::default()
+        };
+        let (narrow, _) = start(config(1));
+        let (wide, _) = start(config(4));
+        let a = client::post_json(narrow.addr(), "/lookup/bulk", &bulk, &header).unwrap();
+        let b = client::post_json(wide.addr(), "/lookup/bulk", &bulk, &header).unwrap();
+        assert_eq!(a.status, 200, "shards {shards}: {}", a.body);
+        assert_eq!(a.body, b.body, "shards {shards}: bulk answers diverged across widths");
+        let a = client::get(narrow.addr(), "/debug/traces/b0b").unwrap();
+        let b = client::get(wide.addr(), "/debug/traces/b0b").unwrap();
+        assert_eq!(a.status, 200);
+        let mask = |s: &str| mask_numeric_key(s, "thread");
+        assert_eq!(mask(&a.body), mask(&b.body), "shards {shards}: bulk span trees diverged");
+        let needle = format!("\"name\":\"{fan_out_span}\"");
+        assert_eq!(a.body.matches(&needle).count(), spans, "shards {shards}:\n{}", a.body);
+    }
 }
 
 #[test]
@@ -591,4 +622,42 @@ fn deadline_header_overrides_and_is_clamped() {
     .unwrap();
     assert_eq!(resp.status, 504);
     assert!(resp.body.contains("\"budget_ms\":1000"), "body: {}", resp.body);
+}
+
+#[test]
+fn pipelined_responses_do_not_wait_for_the_delayed_ack() {
+    use std::io::{Read, Write};
+    // Without TCP_NODELAY the server holds a response written behind an
+    // unacknowledged one until the client's delayed ACK fires, about
+    // 40 ms later, on every round once the connection is warm.
+    let (server, _registry) = start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
+    let req = b"GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n";
+    let body = "{\"status\":\"ok\"}";
+    let mut exchange = |requests: usize| {
+        let start = std::time::Instant::now();
+        stream.write_all(&req.repeat(requests)).unwrap();
+        let mut got = String::new();
+        let mut buf = [0u8; 4096];
+        while got.matches(body).count() < requests {
+            let n = stream.read(&mut buf).unwrap();
+            assert!(n > 0, "server closed the connection");
+            got.push_str(std::str::from_utf8(&buf[..n]).unwrap());
+        }
+        start.elapsed()
+    };
+    // leave the kernel's quick-ACK start-up phase, which hides the stall
+    for _ in 0..40 {
+        exchange(1);
+    }
+    let fastest = (0..5).map(|_| exchange(3)).min().unwrap();
+    assert!(
+        fastest < std::time::Duration::from_millis(20),
+        "three pipelined requests took at least {fastest:?}"
+    );
 }

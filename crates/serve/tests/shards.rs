@@ -3,8 +3,9 @@
 //! tagging, the whole-service overload pin, and shed-retry jitter.
 //!
 //! `scripts/ci.sh` runs this suite under both `EMBLOOKUP_THREADS=1`
-//! and the default thread count — the global pool the scatter fans out
-//! on — so everything asserted here must be width-independent.
+//! and the default thread count, and the chaos test compares worker
+//! counts 1 and 4 — the scatter fans out on the server's own workers —
+//! so everything asserted here must be width-independent.
 
 use emblookup_core::{EmbLookup, EmbLookupConfig, EmbLookupModel};
 use emblookup_kg::{generate, EntityId, KnowledgeGraph, SynthKgConfig};

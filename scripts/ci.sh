@@ -5,6 +5,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Prints the core count and the pool width a leg resolves to
+# (EMBLOOKUP_THREADS when set, else the core count — the rule of
+# emblookup_pool::default_threads, pinned by its unit test), so the log
+# shows which two widths each determinism pair compared.
+leg_width() {
+    echo "   nproc=$(nproc) pool width=${1:-$(nproc)}"
+}
+
 echo "== cargo build --release --offline =="
 cargo build --release --offline
 
@@ -12,9 +20,11 @@ cargo build --release --offline
 # machine default. Batch kernels write disjoint output slots, so both
 # configurations must produce identical results — divergence is a bug.
 echo "== cargo test -q --offline (EMBLOOKUP_THREADS=1) =="
+leg_width 1
 EMBLOOKUP_THREADS=1 cargo test -q --offline
 
 echo "== cargo test -q --offline (default threads) =="
+leg_width "${EMBLOOKUP_THREADS:-}"
 cargo test -q --offline
 
 # Kernel-dispatch matrix: the ann suite must hold under both the forced
@@ -42,14 +52,17 @@ cargo run -q --release --offline -p emblookup-bench --bin ann_bench -- --smoke
 # The shards suite adds the sharded scatter-gather cases: multi-shard
 # full-coverage serving, a chaos plan that ejects one shard (breaker
 # open -> half-open probe -> readmission, partial-result tagging), the
-# overload pin, and shed-retry jitter. EMBLOOKUP_THREADS also sets the
-# width of the global pool the scatter fans out on, so both suites run
-# at both widths.
+# overload pin, and shed-retry jitter. The scatter and bulk fan-out run
+# on the server's own workers (compared at 1 vs 4 inside the suites);
+# EMBLOOKUP_THREADS sets the global pool the server's start-up builds
+# fan out on, so both suites run at both widths.
 echo "== serve smoke (EMBLOOKUP_THREADS=1) =="
+leg_width 1
 EMBLOOKUP_THREADS=1 cargo test -q --offline -p emblookup-serve --test server
 EMBLOOKUP_THREADS=1 cargo test -q --offline -p emblookup-serve --test shards
 
 echo "== serve smoke (default threads) =="
+leg_width "${EMBLOOKUP_THREADS:-}"
 cargo test -q --offline -p emblookup-serve --test server
 cargo test -q --offline -p emblookup-serve --test shards
 
