@@ -5,6 +5,7 @@
 
 use crate::topk::{Neighbor, TopK};
 use crate::vectors::{sq_l2, VectorSet};
+use crate::AnnIndex;
 
 /// Exact L2 index scanning every stored vector per query.
 #[derive(Debug, Clone)]
@@ -33,24 +34,29 @@ impl FlatIndex {
         self.vectors.dim()
     }
 
-    /// Index size in bytes (the full-precision 256 B/vector of the paper
-    /// for 64-d embeddings).
-    pub fn nbytes(&self) -> usize {
-        self.vectors.nbytes()
-    }
-
     /// Borrows the underlying vectors (used as recall ground truth).
     pub fn vectors(&self) -> &VectorSet {
         &self.vectors
     }
+}
 
-    /// Exact `k` nearest neighbours of `query` by squared L2 distance,
-    /// sorted ascending. Returns fewer than `k` hits only when the index
-    /// holds fewer than `k` vectors.
+impl AnnIndex for FlatIndex {
+    fn name(&self) -> &'static str {
+        "flat"
+    }
+
+    /// The full-precision 256 B/vector of the paper for 64-d embeddings.
+    fn nbytes(&self) -> usize {
+        self.vectors.nbytes()
+    }
+
+    /// Exact `k` nearest neighbours by squared L2 distance, sorted
+    /// ascending; every stored vector is visited. Returns fewer than `k`
+    /// hits only when the index holds fewer than `k` vectors.
     ///
     /// # Panics
     /// Panics if `query.len()` differs from the index dimension.
-    pub fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
+    fn search_visited(&self, query: &[f32], k: usize) -> (Vec<Neighbor>, u64) {
         assert_eq!(
             query.len(),
             self.vectors.dim(),
@@ -59,72 +65,22 @@ impl FlatIndex {
             self.vectors.dim()
         );
         if self.vectors.is_empty() || k == 0 {
-            return Vec::new();
+            return (Vec::new(), 0);
         }
+        let visited = self.vectors.len() as u64;
         crate::metrics::flat_searches().inc();
-        crate::metrics::flat_visited().add(self.vectors.len() as u64);
+        crate::metrics::flat_visited().add(visited);
         let mut tk = TopK::new(k);
         for (i, v) in self.vectors.iter().enumerate() {
             tk.push(i, sq_l2(query, v));
         }
-        tk.into_sorted()
+        (tk.into_sorted(), visited)
     }
-
-    /// Traced twin of [`FlatIndex::search`]: identical results, plus
-    /// `backend`/`visited` annotations on `span`.
-    pub fn search_traced(
-        &self,
-        query: &[f32],
-        k: usize,
-        span: &emblookup_obs::TraceSpan,
-    ) -> Vec<Neighbor> {
-        span.annotate("backend", "flat");
-        span.annotate("visited", self.vectors.len() as u64);
-        self.search(query, k)
-    }
-
-    /// Searches many queries, optionally in parallel across the pool.
-    ///
-    /// `threads == 1` runs sequentially; larger values fan the query
-    /// batch out over the persistent compute pool. This is the
-    /// GPU-surrogate bulk path of the speedup tables.
-    pub fn search_batch(&self, queries: &VectorSet, k: usize, threads: usize) -> Vec<Vec<Neighbor>> {
-        batch_search(queries, k, threads, |q, k| self.search(q, k))
-    }
-}
-
-/// Applies `search` to every query, preserving order. `threads == 1`
-/// stays on the calling thread; otherwise the batch runs on the
-/// persistent work-stealing pool ([`emblookup_pool::Pool::global`]) in
-/// chunks, with each result written to its own slot — output is
-/// bit-identical across thread counts. Shared by every index type in
-/// this crate.
-pub fn batch_search<F>(
-    queries: &VectorSet,
-    k: usize,
-    threads: usize,
-    search: F,
-) -> Vec<Vec<Neighbor>>
-where
-    F: Fn(&[f32], usize) -> Vec<Neighbor> + Sync,
-{
-    let n = queries.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = threads.max(1).min(n);
-    if threads == 1 {
-        return queries.iter().map(|q| search(q, k)).collect();
-    }
-    let grain = n.div_ceil(threads * 2).max(1);
-    emblookup_pool::Pool::global().parallel_map(n, grain, |i| search(queries.get(i), k))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
 
     fn grid_index() -> FlatIndex {
         let mut vs = VectorSet::new(2);
@@ -166,37 +122,6 @@ mod tests {
     fn empty_index_returns_nothing() {
         let idx = FlatIndex::new(VectorSet::new(2));
         assert!(idx.search(&[0.0, 0.0], 3).is_empty());
-    }
-
-    #[test]
-    fn batch_matches_sequential() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut vs = VectorSet::new(8);
-        for _ in 0..200 {
-            let v: Vec<f32> = (0..8).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            vs.push(&v);
-        }
-        let idx = FlatIndex::new(vs);
-        let mut queries = VectorSet::new(8);
-        for _ in 0..17 {
-            let v: Vec<f32> = (0..8).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            queries.push(&v);
-        }
-        let seq = idx.search_batch(&queries, 5, 1);
-        for threads in [1usize, 4] {
-            let par = idx.search_batch(&queries, 5, threads);
-            assert_eq!(seq.len(), par.len());
-            for (a, b) in seq.iter().zip(par.iter()) {
-                let ia: Vec<usize> = a.iter().map(|n| n.index).collect();
-                let ib: Vec<usize> = b.iter().map(|n| n.index).collect();
-                assert_eq!(ia, ib, "ids differ at {threads} threads");
-                // distances must be bit-identical, not just close: every
-                // thread count runs the same kernel on the same slots
-                let da: Vec<u32> = a.iter().map(|n| n.dist.to_bits()).collect();
-                let db: Vec<u32> = b.iter().map(|n| n.dist.to_bits()).collect();
-                assert_eq!(da, db, "dists differ at {threads} threads");
-            }
-        }
     }
 
     #[test]

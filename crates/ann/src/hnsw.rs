@@ -14,6 +14,7 @@
 use crate::kernels::sq_l2;
 use crate::topk::{Neighbor, TopK};
 use crate::vectors::VectorSet;
+use crate::AnnIndex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
@@ -281,12 +282,6 @@ impl HnswIndex {
         self.vectors.is_empty()
     }
 
-    /// True index size in bytes: the raw vectors plus the graph
-    /// adjacency payload (neighbour ids across every layer).
-    pub fn nbytes(&self) -> usize {
-        self.vectors.nbytes() + self.links_nbytes()
-    }
-
     /// Adjacency payload alone (u32 neighbour ids, all layers).
     pub fn links_nbytes(&self) -> usize {
         self.links
@@ -303,34 +298,22 @@ impl HnswIndex {
     ) -> (VectorSet, Vec<Vec<Vec<u32>>>, u32, usize, HnswConfig) {
         (self.vectors, self.links, self.entry, self.max_level, self.config)
     }
+}
 
-    /// Searches many queries, optionally in parallel across the pool.
-    pub fn search_batch(&self, queries: &VectorSet, k: usize, threads: usize) -> Vec<Vec<Neighbor>> {
-        crate::flat::batch_search(queries, k, threads, |q, k| self.search(q, k))
+impl AnnIndex for HnswIndex {
+    fn name(&self) -> &'static str {
+        "hnsw"
     }
 
-    /// Approximate `k` nearest neighbours, ascending by distance.
-    pub fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
-        self.search_counted(query, k).0
+    /// The raw vectors plus the graph adjacency payload (neighbour ids
+    /// across every layer).
+    fn nbytes(&self) -> usize {
+        self.vectors.nbytes() + self.links_nbytes()
     }
 
-    /// Traced twin of [`HnswIndex::search`]: identical results, plus
-    /// `backend`/`visited` annotations on `span`.
-    pub fn search_traced(
-        &self,
-        query: &[f32],
-        k: usize,
-        span: &emblookup_obs::TraceSpan,
-    ) -> Vec<Neighbor> {
-        let (hits, visited) = self.search_counted(query, k);
-        span.annotate("backend", "hnsw");
-        span.annotate("visited", visited);
-        hits
-    }
-
-    /// The search body, also returning how many graph nodes were
-    /// visited on the base layer.
-    fn search_counted(&self, query: &[f32], k: usize) -> (Vec<Neighbor>, u64) {
+    /// Approximate `k` nearest neighbours, ascending by distance;
+    /// visited counts the graph nodes visited on the base layer.
+    fn search_visited(&self, query: &[f32], k: usize) -> (Vec<Neighbor>, u64) {
         if k == 0 {
             return (Vec::new(), 0);
         }

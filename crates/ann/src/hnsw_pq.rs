@@ -12,21 +12,22 @@
 //!    scored with [`crate::kernels::adc`] and the layer-0 beam stages
 //!    each node's unvisited peers contiguously and scores them with one
 //!    [`crate::kernels::adc_block`] call against the shared table.
-//! 3. **Re-rank**: the final `ef` frontier goes through the exact
-//!    re-ranking tail shared with [`crate::refine`], so reported
+//! 3. **Re-rank**: the final `ef` frontier is re-scored exactly against
+//!    the raw vectors (FAISS's `IndexRefineFlat` tail), so reported
 //!    distances are true squared L2, not ADC estimates.
 //!
 //! Determinism matches the rest of the crate: for a fixed kernel
 //! variant, a search is a pure function of `(index, query, k)` — the
-//! batched path and any pool width return bit-identical results.
+//! per-thread scratch reuse and any pool width return bit-identical
+//! results.
 // lint: hot-path
 
 use crate::hnsw::{Far, HnswConfig, HnswIndex, Near};
 use crate::kernels;
 use crate::pq::{PqConfig, ProductQuantizer};
-use crate::refine::exact_rerank;
-use crate::topk::Neighbor;
+use crate::topk::{Neighbor, TopK};
 use crate::vectors::VectorSet;
+use crate::AnnIndex;
 use std::collections::BinaryHeap;
 
 /// Configuration for [`HnswPqIndex::build`].
@@ -56,8 +57,7 @@ struct Scratch {
 }
 
 std::thread_local! {
-    /// Single-query searches reuse one scratch per thread; batch search
-    /// threads its own per-chunk scratch through the pool instead.
+    /// Searches reuse one scratch per thread.
     static SCRATCH: std::cell::RefCell<Scratch> = std::cell::RefCell::new(Scratch::default());
 }
 
@@ -185,23 +185,6 @@ impl HnswPqIndex {
         &self.quantizer
     }
 
-    /// True index size in bytes: PQ codes + codebooks + graph adjacency
-    /// (layer-0 CSR and upper links) + id map + the raw vectors the
-    /// exact re-rank tail retains.
-    pub fn nbytes(&self) -> usize {
-        let u32s = std::mem::size_of::<u32>();
-        let upper_payload: usize = self
-            .upper
-            .iter()
-            .map(|(_, layers)| layers.iter().map(|l| l.len() * u32s).sum::<usize>())
-            .sum();
-        self.codes.len()
-            + self.quantizer.codebook_nbytes()
-            + (self.offsets.len() + self.edges.len() + self.orig.len()) * u32s
-            + upper_payload
-            + self.raw.nbytes()
-    }
-
     /// Graph-plus-codes footprint without the re-rank vectors — the
     /// part the compressed traversal actually touches.
     pub fn traversal_nbytes(&self) -> usize {
@@ -225,47 +208,6 @@ impl HnswPqIndex {
                 .unwrap_or(&[]),
             Err(_) => &[],
         }
-    }
-
-    /// Approximate `k` nearest neighbours, ascending by exact distance
-    /// (the frontier is re-ranked against the raw vectors).
-    pub fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
-        SCRATCH.with(|s| self.search_with_scratch(query, k, &mut s.borrow_mut()).0)
-    }
-
-    /// Traced twin of [`HnswPqIndex::search`]: identical results, plus
-    /// `backend`/`visited` annotations on `span`.
-    pub fn search_traced(
-        &self,
-        query: &[f32],
-        k: usize,
-        span: &emblookup_obs::TraceSpan,
-    ) -> Vec<Neighbor> {
-        let (hits, visited) =
-            SCRATCH.with(|s| self.search_with_scratch(query, k, &mut s.borrow_mut()));
-        span.annotate("backend", "hnswpq");
-        span.annotate("visited", visited);
-        hits
-    }
-
-    /// Batch search; `threads > 1` fans queries out over the persistent
-    /// pool with one scratch (ADC table + bitset) per chunk. Results are
-    /// bit-identical to the single-query path at any width.
-    pub fn search_batch(&self, queries: &VectorSet, k: usize, threads: usize) -> Vec<Vec<Neighbor>> {
-        let n = queries.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let threads = threads.max(1).min(n);
-        let run = |scratch: &mut Scratch, i: usize| {
-            self.search_with_scratch(queries.get(i), k, scratch).0
-        };
-        if threads == 1 {
-            let mut scratch = Scratch::default();
-            return (0..n).map(|i| run(&mut scratch, i)).collect();
-        }
-        let grain = n.div_ceil(threads * 2).max(1);
-        emblookup_pool::Pool::global().parallel_map_with(n, grain, Scratch::default, run)
     }
 
     /// The search body: ADC-scored descent + beam, exact re-rank tail.
@@ -381,6 +323,51 @@ impl HnswPqIndex {
     }
 }
 
+impl AnnIndex for HnswPqIndex {
+    fn name(&self) -> &'static str {
+        "hnswpq"
+    }
+
+    /// PQ codes + codebooks + graph adjacency
+    /// (layer-0 CSR and upper links) + id map + the raw vectors the
+    /// exact re-rank tail retains.
+    fn nbytes(&self) -> usize {
+        let u32s = std::mem::size_of::<u32>();
+        let upper_payload: usize = self
+            .upper
+            .iter()
+            .map(|(_, layers)| layers.iter().map(|l| l.len() * u32s).sum::<usize>())
+            .sum();
+        self.codes.len()
+            + self.quantizer.codebook_nbytes()
+            + (self.offsets.len() + self.edges.len() + self.orig.len()) * u32s
+            + upper_payload
+            + self.raw.nbytes()
+    }
+
+    /// Approximate `k` nearest neighbours, ascending by exact distance
+    /// (the frontier is re-ranked against the raw vectors); visited
+    /// counts the graph nodes scored on the base layer.
+    fn search_visited(&self, query: &[f32], k: usize) -> (Vec<Neighbor>, u64) {
+        SCRATCH.with(|s| self.search_with_scratch(query, k, &mut s.borrow_mut()))
+    }
+}
+
+/// Exact re-ranking tail: scores each candidate id against the raw
+/// vectors with the dispatched kernel and keeps the `k` nearest.
+/// Candidates may arrive in any order; ties and final order are fixed
+/// by [`TopK`].
+fn exact_rerank<I>(raw: &VectorSet, query: &[f32], candidates: I, k: usize) -> Vec<Neighbor>
+where
+    I: IntoIterator<Item = usize>,
+{
+    let mut tk = TopK::new(k);
+    for i in candidates {
+        tk.push(i, kernels::sq_l2(query, raw.get(i)));
+    }
+    tk.into_sorted()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -435,29 +422,6 @@ mod tests {
         }
         recall /= 30.0;
         assert!(recall > 0.85, "HnswPq recall@10 too low: {recall}");
-    }
-
-    #[test]
-    fn batch_is_bit_identical_across_widths() {
-        let data = random_set(500, 16, 4);
-        let idx = HnswPqIndex::build(&data, fixture_config());
-        let queries = random_set(23, 16, 5);
-        let seq = idx.search_batch(&queries, 7, 1);
-        for threads in [1usize, 4] {
-            let par = idx.search_batch(&queries, 7, threads);
-            for (a, b) in seq.iter().zip(&par) {
-                let ia: Vec<usize> = a.iter().map(|n| n.index).collect();
-                let ib: Vec<usize> = b.iter().map(|n| n.index).collect();
-                assert_eq!(ia, ib, "ids differ at {threads} threads");
-                let da: Vec<u32> = a.iter().map(|n| n.dist.to_bits()).collect();
-                let db: Vec<u32> = b.iter().map(|n| n.dist.to_bits()).collect();
-                assert_eq!(da, db, "dists differ at {threads} threads");
-            }
-        }
-        // batch must also equal the single-query path exactly
-        for (q, hits) in queries.iter().zip(&seq) {
-            assert_eq!(hits, &idx.search(q, 7));
-        }
     }
 
     #[test]

@@ -6,11 +6,11 @@
 //! search" (§III-C); this is the approximate non-compressed option.
 // lint: hot-path
 
-use crate::flat::batch_search;
 use crate::kernels::sq_l2;
 use crate::kmeans::{KMeans, KMeansConfig};
 use crate::topk::{Neighbor, TopK};
 use crate::vectors::VectorSet;
+use crate::AnnIndex;
 
 /// Configuration for [`IvfIndex::build`].
 #[derive(Debug, Clone, Copy)]
@@ -85,37 +85,24 @@ impl IvfIndex {
     pub fn nlist(&self) -> usize {
         self.lists.len()
     }
+}
 
-    /// Exact byte size of the stored index: the full-precision vectors
-    /// plus the coarse centroids and the inverted-list postings (`u32`
-    /// row ids).
-    pub fn nbytes(&self) -> usize {
+impl AnnIndex for IvfIndex {
+    fn name(&self) -> &'static str {
+        "ivf"
+    }
+
+    /// The full-precision vectors plus the coarse centroids and the
+    /// inverted-list postings (`u32` row ids).
+    fn nbytes(&self) -> usize {
         let postings: usize =
             self.lists.iter().map(Vec::len).sum::<usize>() * std::mem::size_of::<u32>();
         self.vectors.nbytes() + self.coarse.centroids().nbytes() + postings
     }
 
-    /// Approximate `k` nearest neighbours scanning `nprobe` lists.
-    pub fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
-        self.search_counted(query, k).0
-    }
-
-    /// Traced twin of [`IvfIndex::search`]: identical results, plus
-    /// `backend`/`visited` annotations on `span`.
-    pub fn search_traced(
-        &self,
-        query: &[f32],
-        k: usize,
-        span: &emblookup_obs::TraceSpan,
-    ) -> Vec<Neighbor> {
-        let (hits, visited) = self.search_counted(query, k);
-        span.annotate("backend", "ivf");
-        span.annotate("visited", visited);
-        hits
-    }
-
-    /// The search body, also returning how many vectors were scanned.
-    fn search_counted(&self, query: &[f32], k: usize) -> (Vec<Neighbor>, u64) {
+    /// Approximate `k` nearest neighbours scanning the `nprobe` lists
+    /// nearest the query; visited counts the vectors scanned.
+    fn search_visited(&self, query: &[f32], k: usize) -> (Vec<Neighbor>, u64) {
         if self.vectors.is_empty() || k == 0 {
             return (Vec::new(), 0);
         }
@@ -140,11 +127,6 @@ impl IvfIndex {
         crate::metrics::ivf_searches().inc();
         crate::metrics::ivf_visited().add(visited);
         (tk.into_sorted(), visited)
-    }
-
-    /// Batch search across `threads` threads.
-    pub fn search_batch(&self, queries: &VectorSet, k: usize, threads: usize) -> Vec<Vec<Neighbor>> {
-        batch_search(queries, k, threads, |q, k| self.search(q, k))
     }
 }
 

@@ -2,8 +2,13 @@
 //!
 //! Similarity search and vector compression for the EmbLookup reproduction
 //! — the FAISS stand-in. Provides the exact flat index (EL-NC), product
-//! quantization (EL, §III-D), IVF-Flat, PCA (the Figure 5 compression
-//! baseline), k-means, and a MinHash LSH used by the Table V baseline.
+//! quantization (EL, §III-D), IVF-Flat, HNSW and PQ-fused HNSW, PCA (the
+//! Figure 5 compression baseline), k-means, and a MinHash LSH used by the
+//! Table V baseline.
+//!
+//! Every searchable index implements [`AnnIndex`]: like FAISS's single
+//! `search` call over any index type, callers hold a `dyn AnnIndex` and
+//! never match on the backend.
 
 #![warn(missing_docs)]
 
@@ -11,15 +16,12 @@ pub mod flat;
 pub mod hnsw;
 pub mod hnsw_pq;
 pub mod ivf;
-pub mod ivfpq;
 pub mod kernels;
 pub mod kmeans;
 pub mod lsh;
 mod metrics;
 pub mod pca;
 pub mod pq;
-pub mod refine;
-pub mod sq;
 pub mod topk;
 pub mod vectors;
 
@@ -27,15 +29,38 @@ pub use flat::FlatIndex;
 pub use hnsw::{HnswConfig, HnswIndex};
 pub use hnsw_pq::{HnswPqConfig, HnswPqIndex};
 pub use ivf::{IvfConfig, IvfIndex};
-pub use ivfpq::{IvfPqConfig, IvfPqIndex};
 pub use kmeans::{KMeans, KMeansConfig};
 pub use lsh::{LshConfig, MinHashLsh};
-pub use pca::Pca;
+pub use pca::{Pca, PcaIndex};
 pub use pq::{PqConfig, PqIndex, ProductQuantizer};
-pub use refine::RefinedPqIndex;
-pub use sq::{ScalarQuantizer, SqIndex};
 pub use topk::{Neighbor, TopK};
 pub use vectors::{sq_l2, VectorSet};
+
+/// A k-nearest-neighbour index over squared L2 distance.
+///
+/// Each backend has exactly one search body,
+/// [`AnnIndex::search_visited`]; it also bumps the backend's
+/// `ann.<name>.searches` / `ann.<name>.visited_nodes` counters.
+pub trait AnnIndex: Send + Sync {
+    /// Stable lower-case backend name (`"flat"`, `"pq"`, ...), used in
+    /// span annotations and metric names.
+    fn name(&self) -> &'static str;
+
+    /// True index footprint in bytes: payload vectors or codes plus
+    /// whatever auxiliary structure queries need (codebooks, projection,
+    /// centroids, posting or neighbour lists).
+    fn nbytes(&self) -> usize;
+
+    /// Up to `k` nearest neighbours of `query`, ascending by distance
+    /// and distinct, plus how many stored vectors, codes or graph nodes
+    /// the search examined.
+    fn search_visited(&self, query: &[f32], k: usize) -> (Vec<Neighbor>, u64);
+
+    /// [`AnnIndex::search_visited`] without the visited count.
+    fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
+        self.search_visited(query, k).0
+    }
+}
 
 // Property tests need the external `proptest` crate, unavailable in
 // offline builds; enable with `--features proptest-tests` when vendored.
@@ -43,6 +68,7 @@ pub use vectors::{sq_l2, VectorSet};
 mod proptests {
     use crate::flat::FlatIndex;
     use crate::pq::{PqConfig, ProductQuantizer};
+    use crate::AnnIndex;
     use crate::topk::TopK;
     use crate::vectors::{sq_l2, VectorSet};
     use proptest::prelude::*;

@@ -5,7 +5,10 @@
 //! covariance matrix; embedding dimensions are ≤ 256, so the dense
 //! covariance is cheap.
 
+use crate::flat::FlatIndex;
+use crate::topk::Neighbor;
 use crate::vectors::VectorSet;
+use crate::AnnIndex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -139,6 +142,44 @@ impl Pca {
             }
         }
         out
+    }
+}
+
+/// PCA-compressed flat index: rows are stored projected to `k`
+/// dimensions at full precision and queries are projected before an
+/// exact scan — the Figure 5 alternative to product quantization.
+pub struct PcaIndex {
+    pca: Pca,
+    flat: FlatIndex,
+}
+
+impl PcaIndex {
+    /// Fits `k` components to `data` and indexes the projected rows.
+    ///
+    /// # Panics
+    /// Panics if `data` is empty or `k` exceeds the dimension.
+    pub fn build(data: &VectorSet, k: usize, seed: u64) -> Self {
+        let pca = Pca::fit(data, k, seed);
+        let flat = FlatIndex::new(pca.project_set(data));
+        PcaIndex { pca, flat }
+    }
+}
+
+impl AnnIndex for PcaIndex {
+    fn name(&self) -> &'static str {
+        "pca"
+    }
+
+    /// The projected vectors plus the mean/component rows needed to
+    /// project queries.
+    fn nbytes(&self) -> usize {
+        self.flat.nbytes() + self.pca.nbytes()
+    }
+
+    /// Exact scan of the projected rows (counted as flat searches);
+    /// distances are in the projected space.
+    fn search_visited(&self, query: &[f32], k: usize) -> (Vec<Neighbor>, u64) {
+        self.flat.search_visited(&self.pca.project(query), k)
     }
 }
 

@@ -12,6 +12,7 @@ use crate::kernels::{self, sq_l2};
 use crate::kmeans::{KMeans, KMeansConfig};
 use crate::topk::{Neighbor, TopK};
 use crate::vectors::VectorSet;
+use crate::AnnIndex;
 
 /// Configuration for [`ProductQuantizer::train`].
 #[derive(Debug, Clone, Copy)]
@@ -143,9 +144,8 @@ impl ProductQuantizer {
     }
 
     /// Fills `table` with the ADC lookup table for `query`, reusing its
-    /// allocation — the batched-search path calls this once per query on
-    /// a single buffer per query block instead of allocating `m * ks`
-    /// floats every time.
+    /// allocation — HNSW-PQ keeps one buffer per thread instead of
+    /// allocating `m * ks` floats every query.
     pub fn distance_table_into(&self, query: &[f32], table: &mut Vec<f32>) {
         assert_eq!(query.len(), self.dim(), "query dim {} != {}", query.len(), self.dim());
         table.clear();
@@ -188,7 +188,7 @@ impl ProductQuantizer {
 /// paper's EL configuration (8 B/entity instead of 256 B).
 ///
 /// ```
-/// use emblookup_ann::{PqConfig, PqIndex, VectorSet};
+/// use emblookup_ann::{AnnIndex, PqConfig, PqIndex, VectorSet};
 /// let mut data = VectorSet::new(8);
 /// for i in 0..100 {
 ///     data.push(&[i as f32, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
@@ -240,39 +240,27 @@ impl PqIndex {
         self.codes.len()
     }
 
-    /// Total index size: codes plus codebooks.
-    pub fn nbytes(&self) -> usize {
+}
+
+impl AnnIndex for PqIndex {
+    fn name(&self) -> &'static str {
+        "pq"
+    }
+
+    /// Codes plus codebooks.
+    fn nbytes(&self) -> usize {
         self.code_nbytes() + self.quantizer.codebook_nbytes()
     }
 
-    /// Approximate `k` nearest neighbours of `query` via ADC, ascending.
-    pub fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
+    /// Approximate `k` nearest neighbours via ADC, ascending; the scan
+    /// visits every stored code. Codes are scored in fixed-size blocks
+    /// through [`kernels::adc_block`], which is bit-exact against the
+    /// per-code kernel, so results equal a per-code scan exactly.
+    fn search_visited(&self, query: &[f32], k: usize) -> (Vec<Neighbor>, u64) {
         if self.n == 0 || k == 0 {
-            return Vec::new();
+            return (Vec::new(), 0);
         }
         let table = self.quantizer.distance_table(query);
-        self.search_with_table(&table, k)
-    }
-
-    /// Traced twin of [`PqIndex::search`]: identical results, plus
-    /// `backend`/`visited` annotations on `span` (an ADC scan always
-    /// visits every stored code).
-    pub fn search_traced(
-        &self,
-        query: &[f32],
-        k: usize,
-        span: &emblookup_obs::TraceSpan,
-    ) -> Vec<Neighbor> {
-        span.annotate("backend", "pq");
-        span.annotate("visited", self.n as u64);
-        self.search(query, k)
-    }
-
-    /// Scan under an already-built ADC table — the shared tail of the
-    /// single-query and batched paths. Codes are scored in fixed-size
-    /// blocks through [`kernels::adc_block`], which is bit-exact against
-    /// the per-code kernel, so results equal a per-code scan exactly.
-    fn search_with_table(&self, table: &[f32], k: usize) -> Vec<Neighbor> {
         crate::metrics::pq_searches().inc();
         crate::metrics::pq_visited().add(self.n as u64);
         let m = self.quantizer.m();
@@ -283,40 +271,13 @@ impl PqIndex {
         let mut i = 0;
         for chunk in self.codes.chunks(256 * m) {
             let cn = chunk.len() / m;
-            kernels::adc_block(table, ks, m, chunk, &mut dists[..cn]);
+            kernels::adc_block(&table, ks, m, chunk, &mut dists[..cn]);
             for (l, &dl) in dists[..cn].iter().enumerate() {
                 tk.push(i + l, dl);
             }
             i += cn;
         }
-        tk.into_sorted()
-    }
-
-    /// Batch search; `threads > 1` fans the queries out over the
-    /// persistent compute pool. Either way, one distance-table buffer is
-    /// reused across each query block (per chunk when parallel) instead
-    /// of being reallocated per query, and the scan itself goes through
-    /// the same [`ProductQuantizer::adc`] as [`PqIndex::search`], so
-    /// results are exactly equal to the single-query path.
-    pub fn search_batch(&self, queries: &VectorSet, k: usize, threads: usize) -> Vec<Vec<Neighbor>> {
-        let n = queries.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        if self.n == 0 || k == 0 {
-            return vec![Vec::new(); n];
-        }
-        let threads = threads.max(1).min(n);
-        let run = |table: &mut Vec<f32>, i: usize| {
-            self.quantizer.distance_table_into(queries.get(i), table);
-            self.search_with_table(table, k)
-        };
-        if threads == 1 {
-            let mut table = Vec::new();
-            return (0..n).map(|i| run(&mut table, i)).collect();
-        }
-        let grain = n.div_ceil(threads * 2).max(1);
-        emblookup_pool::Pool::global().parallel_map_with(n, grain, Vec::new, run)
+        (tk.into_sorted(), self.n as u64)
     }
 }
 
@@ -371,23 +332,6 @@ mod tests {
         let mut reused = vec![9.0f32; 3]; // wrong size and stale content
         pq.distance_table_into(&q, &mut reused);
         assert_eq!(table, reused);
-    }
-
-    #[test]
-    fn batched_adc_matches_single_query_search() {
-        // the batched path (shared table buffer, pool fan-out) must be
-        // exactly equal to per-query search, ids and distances both
-        let data = random_set(400, 16, 9);
-        let idx = PqIndex::build(&data, small_config());
-        let queries = random_set(33, 16, 10);
-        for threads in [1, 4] {
-            let batched = idx.search_batch(&queries, 7, threads);
-            assert_eq!(batched.len(), queries.len());
-            for (q, hits) in queries.iter().zip(&batched) {
-                let single = idx.search(q, 7);
-                assert_eq!(hits, &single, "threads={threads}");
-            }
-        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Micro-benchmarks behind Figures 4 and 5: product-quantization
 //! train/encode/search against PCA projection and the flat baseline.
 
-use emblookup_ann::{FlatIndex, Pca, PqConfig, PqIndex, ProductQuantizer, VectorSet};
+use emblookup_ann::{AnnIndex, FlatIndex, Pca, PqConfig, PqIndex, ProductQuantizer, VectorSet};
 use emblookup_bench::micro::Group;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -14,8 +14,8 @@
 //! the batched 4-lane ADC kernel over per-code scoring.
 
 use emblookup_ann::{
-    kernels, FlatIndex, HnswConfig, HnswIndex, HnswPqConfig, HnswPqIndex, IvfConfig, IvfIndex,
-    Neighbor, PqConfig, PqIndex, VectorSet,
+    kernels, AnnIndex, FlatIndex, HnswConfig, HnswIndex, HnswPqConfig, HnswPqIndex, IvfConfig,
+    IvfIndex, Neighbor, PqConfig, PqIndex, VectorSet,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -113,7 +113,7 @@ fn measure(
 
 /// One scale tier: builds every backend over the same vectors, measures
 /// recall/latency against the exact flat ground truth.
-fn run_tier(n: usize, nq: usize, threads: usize) -> Vec<BackendRun> {
+fn run_tier(n: usize, nq: usize) -> Vec<BackendRun> {
     eprintln!("[ann_bench] tier {n}: generating vectors");
     let data = clustered(n, 42);
     let queries = queries_for(&data, nq, 43);
@@ -121,8 +121,8 @@ fn run_tier(n: usize, nq: usize, threads: usize) -> Vec<BackendRun> {
     let t = Instant::now();
     let flat = FlatIndex::new(data.clone());
     let flat_build = t.elapsed().as_millis();
-    let truth: Vec<HashSet<usize>> = flat
-        .search_batch(&queries, K, threads)
+    let truth: Vec<HashSet<usize>> = emblookup_pool::Pool::global()
+        .parallel_map(queries.len(), 1, |i| flat.search(queries.get(i), K))
         .into_iter()
         .map(|hits| hits.into_iter().map(|h| h.index).collect())
         .collect();
@@ -317,7 +317,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let scale = args.iter().any(|a| a == "--scale");
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let mut tiers: Vec<(usize, usize)> = if smoke {
         vec![(600, 50)]
@@ -341,7 +340,7 @@ fn main() {
         kernels::active()
     );
     for (ti, &(n, nq)) in tiers.iter().enumerate() {
-        let runs = run_tier(n, nq, threads);
+        let runs = run_tier(n, nq);
         println!("\n== tier: {n} entities, {nq} queries x {PASSES} passes, kernel {} ==", kernels::active());
         println!(
             "{:<8} {:>10} {:>10} {:>10} {:>10} {:>12}",

@@ -62,7 +62,7 @@ fn stage_self_time_report(env: &Env) -> String {
     for (i, q) in labels.iter().cycle().take(LATENCY_PROBE_QUERIES).enumerate() {
         let trace = Trace::start(trace_id_from_index(i as u64), TraceClock::real());
         let root = trace.root(names::SPAN_LOOKUP_REQUEST);
-        let _ = env.el.lookup_with_distances_traced(q, 10, &root);
+        let _ = env.el.lookup_traced(q, 10, Some(&root));
         root.finish();
         let data = trace.snapshot();
         total_ns += data.duration_ns();

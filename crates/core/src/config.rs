@@ -31,15 +31,6 @@ pub enum Compression {
         /// Clusters probed per query.
         nprobe: usize,
     },
-    /// HNSW graph search over full-precision vectors (the nmslib-style
-    /// alternative the paper's §III-C survey mentions). Index size grows
-    /// by the neighbour lists.
-    Hnsw {
-        /// Max neighbours per node per layer.
-        m: usize,
-        /// Beam width at query time.
-        ef_search: usize,
-    },
     /// PQ-fused HNSW: graph traversal scored on PQ codes laid out in
     /// adjacency order, with an exact re-rank of the final frontier
     /// (kANNolo-style). Combines sub-linear traversal with cache-friendly
@@ -70,7 +61,6 @@ impl Compression {
             Compression::Pq { .. } => "pq",
             Compression::Pca { .. } => "pca",
             Compression::Ivf { .. } => "ivf",
-            Compression::Hnsw { .. } => "hnsw",
             Compression::HnswPq { .. } => "hnswpq",
         }
     }
@@ -248,11 +238,6 @@ impl EmbLookupConfig {
         if let Compression::Ivf { nlist, nprobe } = self.compression {
             if nlist == 0 || nprobe == 0 || nprobe > nlist {
                 return Err(format!("IVF nlist {nlist} / nprobe {nprobe} invalid"));
-            }
-        }
-        if let Compression::Hnsw { m, ef_search } = self.compression {
-            if m == 0 || ef_search == 0 {
-                return Err(format!("HNSW m {m} / ef_search {ef_search} invalid"));
             }
         }
         if let Compression::HnswPq { m, ef_search, pq_m, pq_ks } = self.compression {

@@ -6,7 +6,7 @@
 //! an encoder with an ANN index: the layer DAG (lint rule L005) keeps
 //! `embed` below `ann`, and only `core` may see both.
 
-use emblookup_ann::{FlatIndex, VectorSet};
+use emblookup_ann::{AnnIndex, FlatIndex, VectorSet};
 use emblookup_embed::StringEncoder;
 use emblookup_kg::{Candidate, EntityId, KnowledgeGraph, LookupService};
 

@@ -1,36 +1,53 @@
 //! The entity embedding index (§III-C/D).
 //!
 //! Every entity's primary label is embedded once; lookups embed the query
-//! and retrieve nearest neighbours from either the exact flat index
-//! (EL-NC), a product-quantized index (EL, 8 B/entity at defaults), or a
-//! PCA-compressed flat index (the Figure 5 alternative).
+//! and retrieve nearest neighbours from one [`AnnIndex`] backend: the
+//! exact flat index (EL-NC), a product-quantized index (EL, 8 B/entity
+//! at defaults), a PCA-compressed flat index (the Figure 5 alternative),
+//! IVF-Flat, or PQ-fused HNSW.
 
 use crate::config::Compression;
 use crate::model::EmbLookupModel;
 use emblookup_ann::{
-    FlatIndex, HnswConfig, HnswIndex, HnswPqConfig, HnswPqIndex, IvfConfig, IvfIndex, Neighbor,
-    Pca, PqIndex, VectorSet,
+    AnnIndex, FlatIndex, HnswConfig, HnswPqConfig, HnswPqIndex, IvfConfig, IvfIndex, PcaIndex,
+    PqIndex, VectorSet,
 };
 use emblookup_kg::{EntityId, KnowledgeGraph};
-use emblookup_obs::names;
+use emblookup_obs::{names, TraceSpan};
 
 /// Index over entity embeddings with one of the supported backends.
 pub struct EntityIndex {
     ids: Vec<EntityId>,
-    backend: Backend,
-    dim: usize,
+    backend: Box<dyn AnnIndex>,
     /// True when several rows map to one entity (alias indexing): results
     /// must then be deduplicated by entity.
     multi_row: bool,
 }
 
-enum Backend {
-    Flat(FlatIndex),
-    Pq(PqIndex),
-    Pca { pca: Pca, flat: FlatIndex },
-    Ivf(IvfIndex),
-    Hnsw(HnswIndex),
-    HnswPq(HnswPqIndex),
+/// The index rows of `kg`: one per entity label and, when the model
+/// indexes aliases (§III-C option: higher storage, higher alias
+/// recall), one more per alias mapping back to the same entity id —
+/// embedded with `model` across `threads`.
+pub(crate) fn embed_rows(
+    model: &EmbLookupModel,
+    kg: &KnowledgeGraph,
+    threads: usize,
+) -> (Vec<EntityId>, VectorSet) {
+    let mut labels: Vec<&str> = kg.entities().map(|e| e.label.as_str()).collect();
+    let mut ids: Vec<EntityId> = kg.entities().map(|e| e.id).collect();
+    if model.config().index_aliases {
+        for e in kg.entities() {
+            for alias in &e.aliases {
+                labels.push(alias.as_str());
+                ids.push(e.id);
+            }
+        }
+    }
+    let mut vectors = VectorSet::new(model.dim());
+    for v in &model.embed_batch(&labels, threads) {
+        vectors.push(v);
+    }
+    (ids, vectors)
 }
 
 impl EntityIndex {
@@ -51,24 +68,7 @@ impl EntityIndex {
         let span = emblookup_obs::Span::enter(names::INDEX_BUILD)
             .field("entities", kg.num_entities() as u64)
             .field("backend", compression.name());
-        let mut labels: Vec<&str> = kg.entities().map(|e| e.label.as_str()).collect();
-        let mut ids: Vec<EntityId> = kg.entities().map(|e| e.id).collect();
-        if model.config().index_aliases {
-            // §III-C option: one extra index row per alias, mapping back to
-            // the same entity id (higher storage, higher alias recall)
-            for e in kg.entities() {
-                for alias in &e.aliases {
-                    labels.push(alias.as_str());
-                    ids.push(e.id);
-                }
-            }
-        }
-        let embeddings = model.embed_batch(&labels, threads);
-        let dim = model.dim();
-        let mut vectors = VectorSet::new(dim);
-        for v in &embeddings {
-            vectors.push(v);
-        }
+        let (ids, vectors) = embed_rows(model, kg, threads);
         let index = Self::from_vectors(ids, vectors, compression);
         emblookup_obs::global()
             .gauge(names::INDEX_ENTITIES)
@@ -84,47 +84,41 @@ impl EntityIndex {
     /// to reuse one embedding pass across several compression settings).
     pub fn from_vectors(ids: Vec<EntityId>, vectors: VectorSet, compression: Compression) -> Self {
         assert_eq!(ids.len(), vectors.len(), "id/vector count mismatch");
-        let dim = vectors.dim();
+        let backend: Box<dyn AnnIndex> = match compression {
+            Compression::None => Box::new(FlatIndex::new(vectors)),
+            Compression::Pq { m, ks } => {
+                Box::new(PqIndex::build(&vectors, Compression::pq_config(m, ks, 0xC0DE)))
+            }
+            Compression::Pca { k } => Box::new(PcaIndex::build(&vectors, k, 0xC0DE)),
+            Compression::Ivf { nlist, nprobe } => Box::new(IvfIndex::build(
+                vectors,
+                IvfConfig { nlist, nprobe, kmeans_iters: 15, seed: 0xC0DE },
+            )),
+            Compression::HnswPq { m, ef_search, pq_m, pq_ks } => Box::new(HnswPqIndex::build(
+                &vectors,
+                HnswPqConfig {
+                    hnsw: HnswConfig {
+                        m,
+                        ef_search,
+                        ef_construction: ef_search.max(2 * m),
+                        seed: 0xC0DE,
+                    },
+                    pq: Compression::pq_config(pq_m, pq_ks, 0xC0DE),
+                },
+            )),
+        };
+        Self::from_backend(ids, backend)
+    }
+
+    /// Wraps an already-built backend whose row `i` belongs to entity
+    /// `ids[i]`.
+    pub fn from_backend(ids: Vec<EntityId>, backend: Box<dyn AnnIndex>) -> Self {
         let multi_row = {
             let mut sorted = ids.clone();
             sorted.sort_unstable();
             sorted.windows(2).any(|w| w[0] == w[1])
         };
-        let backend = match compression {
-            Compression::None => Backend::Flat(FlatIndex::new(vectors)),
-            Compression::Pq { m, ks } => {
-                let cfg = Compression::pq_config(m, ks, 0xC0DE);
-                Backend::Pq(PqIndex::build(&vectors, cfg))
-            }
-            Compression::Pca { k } => {
-                let pca = Pca::fit(&vectors, k, 0xC0DE);
-                let projected = pca.project_set(&vectors);
-                Backend::Pca { pca, flat: FlatIndex::new(projected) }
-            }
-            Compression::Ivf { nlist, nprobe } => Backend::Ivf(IvfIndex::build(
-                vectors,
-                IvfConfig { nlist, nprobe, kmeans_iters: 15, seed: 0xC0DE },
-            )),
-            Compression::Hnsw { m, ef_search } => Backend::Hnsw(HnswIndex::build(
-                vectors,
-                HnswConfig { m, ef_search, ef_construction: ef_search.max(2 * m), seed: 0xC0DE },
-            )),
-            Compression::HnswPq { m, ef_search, pq_m, pq_ks } => {
-                Backend::HnswPq(HnswPqIndex::build(
-                    &vectors,
-                    HnswPqConfig {
-                        hnsw: HnswConfig {
-                            m,
-                            ef_search,
-                            ef_construction: ef_search.max(2 * m),
-                            seed: 0xC0DE,
-                        },
-                        pq: Compression::pq_config(pq_m, pq_ks, 0xC0DE),
-                    },
-                ))
-            }
-        };
-        EntityIndex { ids, backend, dim, multi_row }
+        EntityIndex { ids, backend, multi_row }
     }
 
     /// Number of indexed entities.
@@ -137,27 +131,10 @@ impl EntityIndex {
         self.ids.is_empty()
     }
 
-    /// Embedding dimension expected by [`EntityIndex::search`].
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// Byte size of the stored index, matching the storage comparisons of
-    /// the evaluation. Every backend reports its true footprint: payload
-    /// vectors or codes plus whatever auxiliary structure queries need
-    /// (codebooks, projection matrices, centroids, posting or neighbour
-    /// lists).
+    /// the evaluation (see [`AnnIndex::nbytes`]).
     pub fn nbytes(&self) -> usize {
-        match &self.backend {
-            Backend::Flat(f) => f.nbytes(),
-            Backend::Pq(p) => p.nbytes(),
-            // projected vectors plus the mean/component rows needed to
-            // project queries
-            Backend::Pca { pca, flat } => flat.nbytes() + pca.nbytes(),
-            Backend::Ivf(i) => i.nbytes(),
-            Backend::Hnsw(h) => h.nbytes(),
-            Backend::HnswPq(i) => i.nbytes(),
-        }
+        self.backend.nbytes()
     }
 
     /// The entity id stored at an internal index position.
@@ -167,60 +144,30 @@ impl EntityIndex {
 
     /// Stable lower-case name of the active ANN backend.
     pub fn backend_name(&self) -> &'static str {
-        match &self.backend {
-            Backend::Flat(_) => "flat",
-            Backend::Pq(_) => "pq",
-            Backend::Pca { .. } => "pca",
-            Backend::Ivf(_) => "ivf",
-            Backend::Hnsw(_) => "hnsw",
-            Backend::HnswPq(_) => "hnswpq",
-        }
+        self.backend.name()
     }
 
     /// `k` nearest entities to a query embedding, ascending by distance.
     /// With alias indexing, an entity reachable through several rows is
     /// returned once at its best distance.
     pub fn search(&self, query: &[f32], k: usize) -> Vec<(EntityId, f32)> {
-        self.search_inner(query, k, None)
+        self.search_traced(query, k, None)
     }
 
-    /// Traced twin of [`EntityIndex::search`]: identical results, with
-    /// the backend's `backend`/`visited` annotations recorded on `span`.
+    /// [`EntityIndex::search`], annotating `span` (when given) with the
+    /// `backend` name and the number of rows the search `visited`.
     pub fn search_traced(
         &self,
         query: &[f32],
         k: usize,
-        span: &emblookup_obs::TraceSpan,
-    ) -> Vec<(EntityId, f32)> {
-        self.search_inner(query, k, Some(span))
-    }
-
-    fn search_inner(
-        &self,
-        query: &[f32],
-        k: usize,
-        span: Option<&emblookup_obs::TraceSpan>,
+        span: Option<&TraceSpan>,
     ) -> Vec<(EntityId, f32)> {
         let fetch = if self.multi_row { k.saturating_mul(3) } else { k };
-        let raw: Vec<Neighbor> = match (&self.backend, span) {
-            (Backend::Flat(f), None) => f.search(query, fetch),
-            (Backend::Flat(f), Some(s)) => f.search_traced(query, fetch, s),
-            (Backend::Pq(p), None) => p.search(query, fetch),
-            (Backend::Pq(p), Some(s)) => p.search_traced(query, fetch, s),
-            (Backend::Pca { pca, flat }, None) => flat.search(&pca.project(query), fetch),
-            (Backend::Pca { pca, flat }, Some(s)) => {
-                // annotate as the composite backend, not the inner flat
-                s.annotate("backend", "pca");
-                s.annotate("visited", flat.len() as u64);
-                flat.search(&pca.project(query), fetch)
-            }
-            (Backend::Ivf(i), None) => i.search(query, fetch),
-            (Backend::Ivf(i), Some(s)) => i.search_traced(query, fetch, s),
-            (Backend::Hnsw(h), None) => h.search(query, fetch),
-            (Backend::Hnsw(h), Some(s)) => h.search_traced(query, fetch, s),
-            (Backend::HnswPq(i), None) => i.search(query, fetch),
-            (Backend::HnswPq(i), Some(s)) => i.search_traced(query, fetch, s),
-        };
+        let (raw, visited) = self.backend.search_visited(query, fetch);
+        if let Some(span) = span {
+            span.annotate("backend", self.backend.name());
+            span.annotate("visited", visited);
+        }
         let mapped = raw.into_iter().map(|n| (self.ids[n.index], n.dist));
         if !self.multi_row {
             return mapped.collect();
@@ -236,39 +183,6 @@ impl EntityIndex {
             }
         }
         out
-    }
-
-    /// Batch search across `threads` threads.
-    pub fn search_batch(
-        &self,
-        queries: &VectorSet,
-        k: usize,
-        threads: usize,
-    ) -> Vec<Vec<(EntityId, f32)>> {
-        if self.multi_row {
-            // alias-indexed path needs per-query dedup; reuse `search`
-            return (0..queries.len())
-                .map(|i| self.search(queries.get(i), k))
-                .collect();
-        }
-        let raw = match &self.backend {
-            Backend::Flat(f) => f.search_batch(queries, k, threads),
-            Backend::Pq(p) => p.search_batch(queries, k, threads),
-            Backend::Pca { pca, flat } => {
-                let projected = pca.project_set(queries);
-                flat.search_batch(&projected, k, threads)
-            }
-            Backend::Ivf(i) => i.search_batch(queries, k, threads),
-            Backend::Hnsw(h) => h.search_batch(queries, k, threads),
-            Backend::HnswPq(i) => i.search_batch(queries, k, threads),
-        };
-        raw.into_iter()
-            .map(|hits| {
-                hits.into_iter()
-                    .map(|n| (self.ids[n.index], n.dist))
-                    .collect()
-            })
-            .collect()
     }
 }
 
@@ -321,21 +235,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_single() {
-        let (ids, vs) = toy_vectors(60, 8);
-        let idx = EntityIndex::from_vectors(ids, vs.clone(), Compression::None);
-        let mut queries = VectorSet::new(8);
-        for i in 0..9 {
-            queries.push(vs.get(i * 5));
-        }
-        let batch = idx.search_batch(&queries, 4, 3);
-        for (i, hits) in batch.iter().enumerate() {
-            let single = idx.search(queries.get(i), 4);
-            assert_eq!(*hits, single);
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "mismatch")]
     fn mismatched_ids_panic() {
         let (_, vs) = toy_vectors(10, 4);
@@ -350,7 +249,6 @@ mod tests {
             Compression::Pq { m: 4, ks: 16 },
             Compression::Pca { k: 4 },
             Compression::Ivf { nlist: 4, nprobe: 4 },
-            Compression::Hnsw { m: 8, ef_search: 32 },
             Compression::HnswPq { m: 8, ef_search: 64, pq_m: 4, pq_ks: 16 },
         ];
         for compression in compressions {
@@ -359,7 +257,7 @@ mod tests {
             let idx = EntityIndex::from_vectors(ids, vs, compression);
             let trace = Trace::start(1, TraceClock::real());
             let root = trace.root(emblookup_obs::names::SPAN_STAGE_SEARCH);
-            let traced = idx.search_traced(&q, 5, &root);
+            let traced = idx.search_traced(&q, 5, Some(&root));
             assert_eq!(traced, idx.search(&q, 5), "backend {}", idx.backend_name());
             root.finish();
             let data = trace.snapshot();
@@ -398,20 +296,6 @@ mod alias_index_tests {
         let mut dedup = entities.clone();
         dedup.dedup();
         assert_eq!(entities, dedup);
-    }
-
-    #[test]
-    fn batch_dedups_too() {
-        let mut vs = VectorSet::new(2);
-        vs.push(&[0.0, 0.0]);
-        vs.push(&[0.1, 0.0]);
-        vs.push(&[5.0, 5.0]);
-        let ids = vec![EntityId(0), EntityId(0), EntityId(1)];
-        let idx = EntityIndex::from_vectors(ids, vs, Compression::None);
-        let mut queries = VectorSet::new(2);
-        queries.push(&[0.0, 0.0]);
-        let batch = idx.search_batch(&queries, 3, 2);
-        assert_eq!(batch[0].len(), 2);
     }
 }
 
@@ -495,29 +379,5 @@ mod hnswpq_backend_tests {
         // raw vectors are retained for the re-rank, so the footprint must
         // exceed flat by the traversal structures (codes + graph + map)
         assert!(hp.nbytes() > flat.nbytes(), "hp {} vs flat {}", hp.nbytes(), flat.nbytes());
-    }
-}
-
-#[cfg(test)]
-mod hnsw_backend_tests {
-    use super::*;
-
-    #[test]
-    fn hnsw_backend_finds_exact_matches() {
-        let mut vs = VectorSet::new(4);
-        let mut ids = Vec::new();
-        for i in 0..200u32 {
-            let f = i as f32;
-            vs.push(&[f.sin(), f.cos(), f * 0.01, 1.0]);
-            ids.push(EntityId(i));
-        }
-        let idx = EntityIndex::from_vectors(
-            ids,
-            vs.clone(),
-            Compression::Hnsw { m: 8, ef_search: 32 },
-        );
-        let hits = idx.search(vs.get(17), 1);
-        assert_eq!(hits[0].0, EntityId(17));
-        assert_eq!(hits[0].1, 0.0);
     }
 }

@@ -306,8 +306,9 @@ impl EmbLookupModel {
                         .map_err(|_| "truncated model buffer")?,
                 ) as usize;
             *cur = end;
-            let block = bytes.get(*cur..*cur + len).ok_or("truncated model block")?;
-            *cur += len;
+            let block_end = cur.checked_add(len).ok_or("truncated model block")?;
+            let block = bytes.get(*cur..block_end).ok_or("truncated model block")?;
+            *cur = block_end;
             Ok(block)
         };
         let mut cur = 0usize;
@@ -343,6 +344,17 @@ mod persist_tests {
         for s in ["alpha", "beta gamma", "xyz"] {
             assert_eq!(model.embed(s), restored.embed(s), "mismatch for {s}");
         }
+    }
+
+    #[test]
+    fn model_load_rejects_hostile_block_length() {
+        // a fastText block length that would overflow the cursor
+        let mut bytes = u64::MAX.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[0; 16]);
+        let err = EmbLookupModel::from_bytes(&bytes, EmbLookupConfig::tiny(1))
+            .err()
+            .expect("hostile block length");
+        assert!(err.contains("truncated model block"), "{err}");
     }
 
     #[test]

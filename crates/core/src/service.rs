@@ -7,11 +7,10 @@ use crate::index::EntityIndex;
 use crate::mining::{mine_triplets, MiningConfig};
 use crate::model::EmbLookupModel;
 use crate::trainer::{train, TrainReport};
-use emblookup_ann::VectorSet;
 use emblookup_embed::{Corpus, FastText, FastTextConfig};
 use emblookup_kg::{Candidate, EntityId, KnowledgeGraph, LookupService};
 use emblookup_obs::names;
-use emblookup_obs::Histogram;
+use emblookup_obs::{Histogram, TraceSpan};
 use std::sync::Arc;
 
 /// A trained EmbLookup pipeline ready to serve lookups over one KG.
@@ -22,7 +21,9 @@ pub struct EmbLookup {
     model: Arc<EmbLookupModel>,
     index: EntityIndex,
     report: TrainReport,
-    /// Threads used for bulk lookups (the GPU-surrogate path).
+    /// Bulk-lookup parallelism (the GPU-surrogate path): `1` runs an
+    /// untraced batch inline on the caller, anything else fans it out
+    /// over the pool.
     pub bulk_threads: usize,
     /// Pre-resolved latency histogram: the hot lookup path does a single
     /// atomic record per query and never touches the registry lock.
@@ -168,159 +169,107 @@ impl EmbLookup {
     /// Latency (embed + ANN search) is recorded with one atomic histogram
     /// update; no lock is held across the search.
     pub fn lookup_with_distances(&self, q: &str, k: usize) -> Vec<(EntityId, f32)> {
+        self.lookup_traced(q, k, None)
+    }
+
+    /// The single-query path behind [`EmbLookup::lookup_with_distances`].
+    /// With a `parent` span it adds `stage.encode` / `stage.search`
+    /// children (the search one carrying the backend's `visited`
+    /// annotation) and links the latency sample to the trace as an
+    /// exemplar; results are identical either way.
+    pub fn lookup_traced(
+        &self,
+        q: &str,
+        k: usize,
+        parent: Option<&TraceSpan>,
+    ) -> Vec<(EntityId, f32)> {
         let start = std::time::Instant::now();
+        let encode = parent.map(|p| p.child(names::SPAN_STAGE_ENCODE));
         let emb = self.model.embed(q);
-        let hits = self.index.search(&emb, k);
-        self.lookup_hist.record_duration(start.elapsed());
+        if let Some(span) = encode {
+            span.finish();
+        }
+        let search = parent.map(|p| p.child(names::SPAN_STAGE_SEARCH));
+        let hits = self.index.search_traced(&emb, k, search.as_ref());
+        if let Some(span) = search {
+            span.finish();
+        }
+        match parent {
+            Some(p) => self
+                .lookup_hist
+                .record_duration_with_exemplar(start.elapsed(), p.trace().id()),
+            None => self.lookup_hist.record_duration(start.elapsed()),
+        }
         hits
     }
 
-    /// Bulk lookup: embeds all queries and searches the index, both split
-    /// across `self.bulk_threads` threads.
+    /// Bulk lookup: [`EmbLookup::try_bulk_lookup`] untraced, rethrowing
+    /// a contained panic.
+    pub fn bulk_lookup(&self, queries: &[&str], k: usize) -> Vec<Vec<(EntityId, f32)>> {
+        match self.try_bulk_lookup(queries, k, None) {
+            Ok(hits) => hits,
+            // lint: allow(L001) documented panic contract of the thin wrapper; try_bulk_lookup is the fallible path
+            Err(e) => panic!("EmbLookup::bulk_lookup: {e}"),
+        }
+    }
+
+    /// Upper bound on the chunks (and `pool.chunk` spans) of one bulk
+    /// request; also the divisor deriving the deterministic chunk grain.
+    pub const BULK_TRACE_CHUNKS: usize = 8;
+
+    /// The bulk path: each query runs embed + search as one task, the
+    /// batch split into at most [`EmbLookup::BULK_TRACE_CHUNKS`] chunks
+    /// derived from the query count alone, never from the pool width.
+    /// With `bulk_threads == 1` and no `parent` the batch runs inline
+    /// on the caller; otherwise the chunks fan out over the pool serving
+    /// the caller, each in a `pool.chunk` child span of `parent` when
+    /// given, so the span tree has the same shape at every
+    /// `EMBLOOKUP_THREADS` setting. Results are bit-identical to
+    /// per-query [`EmbLookup::lookup_with_distances`].
     ///
     /// Whole-batch wall time goes to `lookup.bulk`; the same time divided
     /// across the batch's queries is attributed per query into
     /// `lookup.latency.bulk`, so batched and single-query latency land in
     /// one comparable `lookup.latency.*` family.
-    pub fn bulk_lookup(&self, queries: &[&str], k: usize) -> Vec<Vec<(EntityId, f32)>> {
-        let start = std::time::Instant::now();
-        let embeddings = self.model.embed_batch(queries, self.bulk_threads);
-        let mut qs = VectorSet::new(self.model.dim());
-        for e in &embeddings {
-            qs.push(e);
-        }
-        let hits = self.index.search_batch(&qs, k, self.bulk_threads);
-        let elapsed = start.elapsed();
-        self.bulk_hist.record_duration(elapsed);
-        if !queries.is_empty() {
-            let per_query =
-                u64::try_from(elapsed.as_nanos() / queries.len() as u128).unwrap_or(u64::MAX);
-            self.bulk_query_hist.record_n(per_query, queries.len() as u64);
-        }
-        self.bulk_queries.add(queries.len() as u64);
-        hits
-    }
-
-    /// Traced twin of [`EmbLookup::lookup_with_distances`]: identical
-    /// results and the same histogram recording (linked to the trace as
-    /// an exemplar), plus `stage.encode` / `stage.search` child spans
-    /// under `parent` with the backend's `visited` annotation.
-    pub fn lookup_with_distances_traced(
-        &self,
-        q: &str,
-        k: usize,
-        parent: &emblookup_obs::TraceSpan,
-    ) -> Vec<(EntityId, f32)> {
-        let start = std::time::Instant::now();
-        let encode = parent.child(names::SPAN_STAGE_ENCODE);
-        let emb = self.model.embed(q);
-        encode.finish();
-        let search = parent.child(names::SPAN_STAGE_SEARCH);
-        let hits = self.index.search_traced(&emb, k, &search);
-        search.finish();
-        self.lookup_hist
-            .record_duration_with_exemplar(start.elapsed(), parent.trace().id());
-        hits
-    }
-
-    /// Traced twin of [`EmbLookup::bulk_lookup`]: each query runs the
-    /// embed + search pipeline inside a `pool.chunk` child span of
-    /// `parent`. Chunking is derived from the query count alone (at
-    /// most [`EmbLookup::BULK_TRACE_CHUNKS`] chunks), never from the
-    /// pool width, so the span tree shape is identical at every
-    /// `EMBLOOKUP_THREADS` setting; results are bit-identical to the
-    /// untraced batched path.
-    pub fn bulk_lookup_traced(
-        &self,
-        queries: &[&str],
-        k: usize,
-        parent: &emblookup_obs::TraceSpan,
-    ) -> Vec<Vec<(EntityId, f32)>> {
-        let start = std::time::Instant::now();
-        parent.annotate("backend", self.index.backend_name());
-        parent.annotate("queries", queries.len() as u64);
-        let n = queries.len();
-        if n == 0 {
-            self.bulk_hist.record_duration(start.elapsed());
-            return Vec::new();
-        }
-        let grain = n.div_ceil(Self::BULK_TRACE_CHUNKS).max(1);
-        let hits = emblookup_pool::Pool::global().parallel_map_traced(
-            n,
-            grain,
-            parent,
-            names::SPAN_POOL_CHUNK,
-            |i| {
-                let emb = self.model.embed(queries[i]);
-                self.index.search(&emb, k)
-            },
-        );
-        let elapsed = start.elapsed();
-        self.bulk_hist.record_duration(elapsed);
-        let per_query = u64::try_from(elapsed.as_nanos() / n as u128).unwrap_or(u64::MAX);
-        self.bulk_query_hist.record_n(per_query, n as u64);
-        self.bulk_queries.add(n as u64);
-        hits
-    }
-
-    /// Upper bound on `pool.chunk` spans per traced bulk request; also
-    /// the divisor deriving the deterministic chunk grain.
-    pub const BULK_TRACE_CHUNKS: usize = 8;
-
-    /// Fallible twin of [`EmbLookup::bulk_lookup_traced`]; see
-    /// [`EmbLookup::try_lookup_with_distances`] for the containment
-    /// contract.
     ///
     /// # Errors
-    /// [`LookupError`] carrying the contained panic message.
-    pub fn try_bulk_lookup_traced(
-        &self,
-        queries: &[&str],
-        k: usize,
-        parent: &emblookup_obs::TraceSpan,
-    ) -> Result<Vec<Vec<(EntityId, f32)>>, LookupError> {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.bulk_lookup_traced(queries, k, parent)
-        }))
-        .map_err(LookupError::from_panic)
-    }
-
-    /// Fallible twin of [`EmbLookup::lookup_with_distances`]: a panic
-    /// escaping the embed or search stage (e.g. a pool [`TaskPanic`]
-    /// rethrown by a batched backend) is contained and surfaced as a
-    /// [`LookupError`] so one poisoned query cannot take the process
-    /// down — the serving layer maps it to a per-request `500`.
-    ///
-    /// # Errors
-    /// [`LookupError`] carrying the contained panic message.
-    ///
-    /// [`TaskPanic`]: emblookup_pool::TaskPanic
-    pub fn try_lookup_with_distances(
-        &self,
-        q: &str,
-        k: usize,
-    ) -> Result<Vec<(EntityId, f32)>, LookupError> {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.lookup_with_distances(q, k)
-        }))
-        .map_err(LookupError::from_panic)
-    }
-
-    /// Fallible twin of [`EmbLookup::bulk_lookup`]; see
-    /// [`EmbLookup::try_lookup_with_distances`] for the containment
-    /// contract.
-    ///
-    /// # Errors
-    /// [`LookupError`] carrying the contained panic message.
+    /// A panic escaping the embed or search stage of any query is
+    /// contained and surfaced as a [`LookupError`], so one poisoned
+    /// query cannot take the process down — the serving layer maps it
+    /// to a per-request `500`.
     pub fn try_bulk_lookup(
         &self,
         queries: &[&str],
         k: usize,
+        parent: Option<&TraceSpan>,
     ) -> Result<Vec<Vec<(EntityId, f32)>>, LookupError> {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.bulk_lookup(queries, k)
-        }))
-        .map_err(LookupError::from_panic)
+        let start = std::time::Instant::now();
+        let n = queries.len();
+        if let Some(p) = parent {
+            p.annotate("backend", self.index.backend_name());
+            p.annotate("queries", n as u64);
+        }
+        let one = |i: usize| {
+            let emb = self.model.embed(queries[i]);
+            self.index.search(&emb, k)
+        };
+        let hits = if self.bulk_threads == 1 && parent.is_none() {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (0..n).map(one).collect()))
+                .map_err(LookupError::from_panic)?
+        } else {
+            let grain = n.div_ceil(Self::BULK_TRACE_CHUNKS).max(1);
+            emblookup_pool::Pool::global()
+                .try_parallel_map_traced(n, grain, parent, names::SPAN_POOL_CHUNK, one)
+                .map_err(|e| LookupError { message: e.message })?
+        };
+        let elapsed = start.elapsed();
+        self.bulk_hist.record_duration(elapsed);
+        if n > 0 {
+            let per_query = u64::try_from(elapsed.as_nanos() / n as u128).unwrap_or(u64::MAX);
+            self.bulk_query_hist.record_n(per_query, n as u64);
+        }
+        self.bulk_queries.add(n as u64);
+        Ok(hits)
     }
 }
 
@@ -468,13 +417,11 @@ mod tests {
     }
 
     #[test]
-    fn try_lookup_matches_infallible_path() {
+    fn try_bulk_lookup_matches_infallible_path() {
         let (el, s) = trained();
         let label = &s.kg.entities().next().unwrap().label;
-        let fallible = el.try_lookup_with_distances(label, 5).expect("healthy index");
         let direct = el.lookup_with_distances(label, 5);
-        assert_eq!(fallible, direct);
-        let bulk = el.try_bulk_lookup(&[label.as_str()], 5).expect("healthy index");
+        let bulk = el.try_bulk_lookup(&[label.as_str()], 5, None).expect("healthy index");
         assert_eq!(bulk[0], direct);
     }
 
@@ -486,7 +433,7 @@ mod tests {
 
         let trace = Trace::start(0xF00D, TraceClock::real());
         let root = trace.root(names::SPAN_LOOKUP_REQUEST);
-        let traced = el.lookup_with_distances_traced(labels[0], 5, &root);
+        let traced = el.lookup_traced(labels[0], 5, Some(&root));
         assert_eq!(traced, el.lookup_with_distances(labels[0], 5));
         root.finish();
         let data = trace.snapshot();
@@ -498,7 +445,7 @@ mod tests {
 
         let bulk_trace = Trace::start(0xBEEF, TraceClock::real());
         let bulk_root = bulk_trace.root(names::SPAN_LOOKUP_REQUEST);
-        let traced_bulk = el.bulk_lookup_traced(&labels, 3, &bulk_root);
+        let traced_bulk = el.try_bulk_lookup(&labels, 3, Some(&bulk_root)).expect("healthy index");
         assert_eq!(traced_bulk, el.bulk_lookup(&labels, 3));
         bulk_root.finish();
         let bulk_data = bulk_trace.snapshot();

@@ -16,7 +16,7 @@
 //! the entity id, never the row.
 
 use crate::config::Compression;
-use crate::index::EntityIndex;
+use crate::index::{embed_rows, EntityIndex};
 use crate::model::EmbLookupModel;
 use emblookup_ann::VectorSet;
 use emblookup_kg::{EntityId, KnowledgeGraph};
@@ -59,27 +59,26 @@ impl ShardedIndex {
     ) -> Self {
         assert!(num_shards > 0, "sharding into zero shards");
         assert!(kg.num_entities() > 0, "sharding an empty knowledge graph");
-        let mut labels: Vec<&str> = kg.entities().map(|e| e.label.as_str()).collect();
-        let mut ids: Vec<EntityId> = kg.entities().map(|e| e.id).collect();
-        if model.config().index_aliases {
-            // Alias rows ride along exactly as in `EntityIndex::build`;
-            // hashing on the id keeps them on their entity's shard.
-            for e in kg.entities() {
-                for alias in &e.aliases {
-                    labels.push(alias.as_str());
-                    ids.push(e.id);
-                }
-            }
-        }
-        let embeddings = model.embed_batch(&labels, threads);
-        let dim = model.dim();
+        // alias rows hash on their entity's id, so they stay on its shard
+        let (ids, vectors) = embed_rows(model, kg, threads);
+        Self::from_rows(&ids, &vectors, compression, num_shards)
+    }
+
+    /// Partitions embedded rows by [`shard_of`] and builds one backend
+    /// per shard.
+    fn from_rows(
+        ids: &[EntityId],
+        vectors: &VectorSet,
+        compression: Compression,
+        num_shards: usize,
+    ) -> Self {
         let mut shard_ids: Vec<Vec<EntityId>> = (0..num_shards).map(|_| Vec::new()).collect();
         let mut shard_vecs: Vec<VectorSet> =
-            (0..num_shards).map(|_| VectorSet::new(dim)).collect();
+            (0..num_shards).map(|_| VectorSet::new(vectors.dim())).collect();
         for (row, id) in ids.iter().enumerate() {
             let s = shard_of(*id, num_shards);
             shard_ids[s].push(*id);
-            shard_vecs[s].push(&embeddings[row]);
+            shard_vecs[s].push(vectors.get(row));
         }
         let shards = shard_ids
             .into_iter()
@@ -132,7 +131,6 @@ fn fit_compression(compression: Compression, rows: usize) -> Compression {
         Compression::None | Compression::Pca { .. } => 1,
         Compression::Pq { ks, .. } => ks,
         Compression::Ivf { nlist, .. } => nlist,
-        Compression::Hnsw { .. } => 2,
         Compression::HnswPq { pq_ks, .. } => pq_ks,
     };
     if rows < min_rows.max(1) {
@@ -169,21 +167,7 @@ mod tests {
     }
 
     fn sharded_from(ids: &[EntityId], vs: &VectorSet, num_shards: usize) -> ShardedIndex {
-        let dim = vs.dim();
-        let mut shard_ids: Vec<Vec<EntityId>> = (0..num_shards).map(|_| Vec::new()).collect();
-        let mut shard_vecs: Vec<VectorSet> = (0..num_shards).map(|_| VectorSet::new(dim)).collect();
-        for (row, id) in ids.iter().enumerate() {
-            let s = shard_of(*id, num_shards);
-            shard_ids[s].push(*id);
-            shard_vecs[s].push(vs.get(row));
-        }
-        ShardedIndex {
-            shards: shard_ids
-                .into_iter()
-                .zip(shard_vecs)
-                .map(|(ids, vecs)| EntityIndex::from_vectors(ids, vecs, Compression::None))
-                .collect(),
-        }
+        ShardedIndex::from_rows(ids, vs, Compression::None, num_shards)
     }
 
     #[test]

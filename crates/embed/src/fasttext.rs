@@ -299,10 +299,15 @@ impl FastText {
             dim, min_n, max_n, buckets, window, negatives, epochs, lr, seed,
         };
         let idf_len = read_u64(&mut cur)? as usize;
+        // each entry is at least an 8-byte length and a 4-byte weight
+        match idf_len.checked_mul(12) {
+            Some(need) if need <= bytes.len() - cur => {}
+            _ => return Err(format!("idf table of {idf_len} entries exceeds the buffer")),
+        }
         let mut idf = std::collections::HashMap::with_capacity(idf_len);
         for _ in 0..idf_len {
             let tlen = read_u64(&mut cur)? as usize;
-            let end = cur + tlen;
+            let end = cur.checked_add(tlen).ok_or("truncated token")?;
             let token = std::str::from_utf8(bytes.get(cur..end).ok_or("truncated token")?)
                 .map_err(|e| format!("invalid utf8 token: {e}"))?
                 .to_string();
@@ -311,7 +316,7 @@ impl FastText {
             idf.insert(token, w);
         }
         let sgns_len = read_u64(&mut cur)? as usize;
-        let end = cur + sgns_len;
+        let end = cur.checked_add(sgns_len).ok_or("truncated SGNS block")?;
         let model = SgnsModel::from_bytes(bytes.get(cur..end).ok_or("truncated SGNS block")?)?;
         if model.dim() != dim {
             return Err(format!("SGNS dim {} != config dim {dim}", model.dim()));
@@ -325,6 +330,28 @@ mod persist_tests {
     use super::*;
     use crate::corpus::Corpus;
     use crate::encoder::StringEncoder;
+
+    #[test]
+    fn hostile_idf_length_is_an_error() {
+        // a well-formed config, then an idf table claiming u64::MAX entries
+        let mut bytes = Vec::new();
+        for v in [8u64, 3, 6, 1 << 10, 5, 5, 3] {
+            bytes.extend_from_slice(&v.to_le_bytes());
+        }
+        bytes.extend_from_slice(&0.05f32.to_le_bytes());
+        bytes.extend_from_slice(&0u64.to_le_bytes());
+        bytes.extend_from_slice(&1.0f32.to_le_bytes());
+        bytes.extend_from_slice(&u64::MAX.to_le_bytes());
+        let err = FastText::from_bytes(&bytes).err().expect("hostile idf length");
+        assert!(err.contains("exceeds"), "{err}");
+        // a token length that would overflow the cursor
+        let idf_at = bytes.len() - 8;
+        bytes.truncate(idf_at);
+        bytes.extend_from_slice(&1u64.to_le_bytes());
+        bytes.extend_from_slice(&u64::MAX.to_le_bytes());
+        bytes.extend_from_slice(&[0; 4]);
+        assert!(FastText::from_bytes(&bytes).is_err());
+    }
 
     #[test]
     fn round_trip_preserves_embeddings() {

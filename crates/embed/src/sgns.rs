@@ -267,9 +267,18 @@ impl SgnsModel {
         if dim == 0 || !n_in.is_multiple_of(dim) || !n_out.is_multiple_of(dim) {
             return Err(format!("inconsistent SGNS header: dim {dim}, in {n_in}, out {n_out}"));
         }
-        let need = cur + 4 * (n_in + n_out);
-        if bytes.len() < need {
-            return Err(format!("truncated SGNS buffer: {} < {need}", bytes.len()));
+        let need = n_in
+            .checked_add(n_out)
+            .and_then(|floats| floats.checked_mul(4))
+            .and_then(|body| body.checked_add(cur));
+        match need {
+            Some(need) if need <= bytes.len() => {}
+            _ => {
+                return Err(format!(
+                    "truncated SGNS buffer: {} bytes for {n_in} + {n_out} floats",
+                    bytes.len()
+                ))
+            }
         }
         let read_f32s = |count: usize, cur: &mut usize| -> Vec<f32> {
             let mut v = Vec::with_capacity(count);
@@ -291,6 +300,17 @@ impl SgnsModel {
 mod persist_tests {
     use super::*;
     use rand::SeedableRng;
+
+    #[test]
+    fn hostile_header_is_an_error() {
+        // dim 1, in = out = 2^62: the float count overflows `usize` bytes
+        let mut bytes = Vec::new();
+        for v in [1u64, 1 << 62, 1 << 62] {
+            bytes.extend_from_slice(&v.to_le_bytes());
+        }
+        let err = SgnsModel::from_bytes(&bytes).expect_err("hostile header");
+        assert!(err.contains("truncated"), "{err}");
+    }
 
     #[test]
     fn round_trip_preserves_embeddings() {

@@ -52,6 +52,20 @@ impl<'a> Reader<'a> {
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
+    /// Reads a `u32` element count, rejected unless `count` elements of
+    /// at least `min_bytes` each fit in the bytes left — so a hostile
+    /// header can never size an allocation beyond the buffer itself.
+    fn get_count(&mut self, min_bytes: usize) -> Result<usize, String> {
+        let count = self.get_u32_le()? as usize;
+        match count.checked_mul(min_bytes) {
+            Some(need) if need <= self.remaining() => Ok(count),
+            _ => Err(format!(
+                "count {count} exceeds the {} bytes left",
+                self.remaining()
+            )),
+        }
+    }
+
     fn get_str(&mut self) -> Result<String, String> {
         if self.remaining() < 4 {
             return Err("truncated string length".into());
@@ -125,7 +139,8 @@ pub fn kg_from_bytes(bytes: &[u8]) -> Result<KnowledgeGraph, String> {
     }
 
     let mut kg = KnowledgeGraph::new();
-    let n_types = buf.get_u32_le()? as usize;
+    // minimum encoded sizes: a string is a 4-byte length, an id 4 bytes
+    let n_types = buf.get_count(8)?;
     let mut parents = Vec::with_capacity(n_types);
     for _ in 0..n_types {
         let name = buf.get_str()?;
@@ -140,21 +155,21 @@ pub fn kg_from_bytes(bytes: &[u8]) -> Result<KnowledgeGraph, String> {
         kg.set_type_parent(TypeId(i as u32), TypeId(p));
     }
 
-    let n_props = buf.get_u32_le()? as usize;
+    let n_props = buf.get_count(4)?;
     for _ in 0..n_props {
         let name = buf.get_str()?;
         kg.add_property(name);
     }
 
-    let n_entities = buf.get_u32_le()? as usize;
+    let n_entities = buf.get_count(12)?;
     for _ in 0..n_entities {
         let label = buf.get_str()?;
-        let n_aliases = buf.get_u32_le()? as usize;
+        let n_aliases = buf.get_count(4)?;
         let mut aliases = Vec::with_capacity(n_aliases);
         for _ in 0..n_aliases {
             aliases.push(buf.get_str()?);
         }
-        let n_t = buf.get_u32_le()? as usize;
+        let n_t = buf.get_count(4)?;
         let mut types = Vec::with_capacity(n_t);
         for _ in 0..n_t {
             let t = buf.get_u32_le()?;
@@ -166,7 +181,7 @@ pub fn kg_from_bytes(bytes: &[u8]) -> Result<KnowledgeGraph, String> {
         kg.add_entity(label, aliases, types);
     }
 
-    let n_facts = buf.get_u32_le()? as usize;
+    let n_facts = buf.get_count(13)?;
     for _ in 0..n_facts {
         let subject = buf.get_u32_le()?;
         let property = buf.get_u32_le()?;
@@ -197,6 +212,25 @@ pub fn kg_from_bytes(bytes: &[u8]) -> Result<KnowledgeGraph, String> {
 mod tests {
     use super::*;
     use crate::synth::{generate, SynthKgConfig};
+
+    #[test]
+    fn hostile_counts_are_rejected_before_allocating() {
+        // u32::MAX types would reserve 16 GiB of parent ids up front
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        let err = kg_from_bytes(&bytes).expect_err("hostile type count");
+        assert!(err.contains("exceeds"), "{err}");
+        // the same for a nested count: one entity claiming u32::MAX aliases
+        let mut bytes = MAGIC.to_vec();
+        for count in [0u32, 0, 1] {
+            bytes.extend_from_slice(&count.to_le_bytes());
+        }
+        put_str(&mut bytes, "e");
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        bytes.extend_from_slice(&[0; 8]);
+        let err = kg_from_bytes(&bytes).expect_err("hostile alias count");
+        assert!(err.contains("exceeds"), "{err}");
+    }
 
     #[test]
     fn round_trip_preserves_everything() {

@@ -174,17 +174,8 @@ pub const STD_METHODS: &[&str] = &[
 ];
 
 /// Pool fan-out entry points: a caller blocks until the parallel work
-/// completes (the `POOLWAIT` effect).
-pub const POOLWAIT_NAMES: &[&str] = &[
-    "parallel_for",
-    "try_parallel_for",
-    "parallel_map",
-    "try_parallel_map",
-    "parallel_map_with",
-    "try_parallel_map_with",
-    "parallel_map_traced",
-    "try_parallel_map_traced",
-];
+/// completes (the `POOLWAIT` effect). Exactly `Pool`'s public fan-outs.
+pub const POOLWAIT_NAMES: &[&str] = &["parallel_map", "scatter", "try_parallel_map_traced"];
 
 /// Pool submission entry points (the `SUBMITS` effect).
 pub const SUBMIT_NAMES: &[&str] = &["submit", "try_submit"];

@@ -32,8 +32,9 @@ pub const PANICS: u8 = 1 << 3;
 pub const NONDET: u8 = 1 << 4;
 /// Submits work to the compute pool (`Pool::submit`/`try_submit`).
 pub const SUBMITS: u8 = 1 << 5;
-/// Waits for pool fan-out to complete (`parallel_for`/`parallel_map`
-/// family) — blocking with respect to the bounded injector.
+/// Waits for pool fan-out to complete (`parallel_map`/`scatter`/
+/// `try_parallel_map_traced`) — blocking with respect to the bounded
+/// injector.
 pub const POOLWAIT: u8 = 1 << 6;
 
 /// Human-readable name of a single effect bit.

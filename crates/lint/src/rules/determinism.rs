@@ -96,7 +96,7 @@ pub fn ids(counts: &HashMap<u32, u32>) -> Vec<u32> {
     fn pool_parallel_reachability_is_annotated() {
         let src = "\
 use std::collections::HashMap;
-pub fn fan_out(p: &Pool) { p.parallel_for(0, 8, |i| shard(i)); }
+pub fn fan_out(p: &Pool) { p.parallel_map(0, 8, |i| shard(i)); }
 pub fn shard(i: usize) {}
 pub fn weigh(w: &HashMap<u32, f32>) -> f32 { w.values().sum::<f32>() }
 pub fn run(p: &Pool, w: &HashMap<u32, f32>) -> f32 { fan_out(p); weigh(w) }

@@ -352,6 +352,21 @@ pub fn work() {}
     }
 
     #[test]
+    fn guard_held_across_scatter_is_reported() {
+        let src = "\
+pub fn fan_out(p: &Pool, state: &std::sync::Mutex<u32>) {
+    let g = state.lock();
+    p.scatter(4, |i| work(i));
+}
+pub fn work(i: usize) {}
+";
+        let (v, _) = run(vec![FileFacts::fixture("crates/core/src/lib.rs", "emblookup-core", src)]);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!((v[0].rule.as_str(), v[0].line), ("L009", 3));
+        assert!(v[0].message.contains("held across pool call `scatter(…)`"), "{}", v[0].message);
+    }
+
+    #[test]
     fn guard_dropped_before_submit_is_clean() {
         let src = "\
 pub fn dispatch(pool: &Pool, state: &std::sync::Mutex<u32>) {

@@ -150,7 +150,8 @@ pub const RULE_DOCS: &[RuleDoc] = &[
         rationale: "Two families: (a) the workspace-wide lock-acquisition-order graph must be \
                     acyclic — an A→B edge in one crate and B→A in another is a deadlock waiting \
                     for load; (b) no lock guard may be held across `Pool::submit`/`try_submit`, \
-                    the `parallel_*` fan-out family, or a blocking call — with the bounded \
+                    a pool fan-out (`parallel_map`/`scatter`/`try_parallel_map_traced`), or a \
+                    blocking call — with the bounded \
                     injector from PR 5, submit can block on a full queue while workers need the \
                     held lock to drain it. Diagnostics print the acquisition chain with \
                     file:line per hop.",
@@ -195,7 +196,8 @@ pub const RULE_DOCS: &[RuleDoc] = &[
         title: "deadline propagation from serve handlers",
         rationale: "Every function reachable from a serve request handler (`handle_*` in \
                     `emblookup-serve`) that blocks — a `.recv()`/`.join()`/sleep site, a pool \
-                    `submit`, or a `parallel_*` fan-out — must receive a deadline-bearing \
+                    `submit`, or a pool fan-out (`parallel_map`/`scatter`/\
+                    `try_parallel_map_traced`) — must receive a deadline-bearing \
                     parameter (`DeadlineClock`, or a param named `clock`/`deadline`) or be \
                     dominated by a deadline check along every unguarded call path. Otherwise a \
                     slow shard turns the request-deadline machinery from PR 7 into decoration: \

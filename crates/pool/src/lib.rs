@@ -1,8 +1,8 @@
 //! # emblookup-pool
 //!
 //! A persistent work-stealing compute pool built on std primitives only —
-//! the shared parallel substrate behind bulk embedding, batched ANN
-//! search, k-means assignment and minibatch training.
+//! the shared parallel substrate behind bulk embedding, bulk lookup,
+//! shard scatter-gather, k-means assignment and minibatch training.
 //!
 //! Before this crate, every batched call site spawned fresh OS threads
 //! through `std::thread::scope`, paying thread start-up per call. The
@@ -14,18 +14,25 @@
 //!   end or from the injector;
 //! * the **caller participates**: while waiting for its job it executes
 //!   pending chunks instead of blocking, which makes nested
-//!   [`Pool::parallel_for`] calls deadlock-free even on a single worker.
+//!   fan-outs deadlock-free even on a single worker.
 //!   A waiting caller runs chunks only — never a queued detached task —
 //!   so one request cannot run nested inside another;
 //! * task closures borrow from the caller's stack. This is safe because
 //!   the submitting call does not return until every chunk of its job
 //!   has completed (the job handle counts outstanding chunks).
 //!
+//! The public fan-outs are [`Pool::parallel_map`] (task panics rethrown
+//! on the caller), [`Pool::scatter`] (one task per index, panics
+//! contained per index) and [`Pool::try_parallel_map_traced`]
+//! (width-independent chunks, optional per-chunk spans, panics surfaced
+//! as a [`TaskPanic`] error); detached work goes through
+//! [`Pool::try_submit`]. Panics inside tasks are contained per L001, so a
+//! poisoned job never takes a worker down.
+//!
 //! **A fan-out runs on the pool serving it.** When the calling thread is
-//! a worker of some pool, every fan-out it issues (`parallel_*`,
-//! [`Pool::scatter`], the traced variants, [`Pool::join`]) runs on that
-//! worker's own pool, whichever pool it was called on; other threads use
-//! the pool they call. A server that handles requests on a bounded pool
+//! a worker of some pool, every fan-out it issues runs on that worker's
+//! own pool, whichever pool it was called on; other threads use the
+//! pool they call. A server that handles requests on a bounded pool
 //! therefore spreads a request's batch over its own idle workers with
 //! no extra parameter, and never wakes a second pool.
 //!
@@ -33,11 +40,6 @@
 //! (`EMBLOOKUP_THREADS` override, else `available_parallelism()`) and
 //! shared through the lazily-initialized [`Pool::global`]. Tests that
 //! need explicit widths construct their own [`Pool::with_threads`].
-//!
-//! Panics inside tasks are contained per L001: [`Pool::try_parallel_for`]
-//! surfaces them as a [`TaskPanic`] error; the panicking variants rethrow
-//! the message as a panic on the calling thread, so a poisoned job never
-//! takes a worker down.
 //!
 //! For network-facing serving, [`Pool::with_threads_bounded`] builds a
 //! pool in **bounded-injector mode**: [`Pool::try_submit`] enqueues
@@ -103,7 +105,7 @@ impl std::fmt::Display for TaskPanic {
 
 impl std::error::Error for TaskPanic {}
 
-/// One outstanding `parallel_for` (or `join`) invocation: a lifetime- and
+/// One outstanding chunked fan-out: a lifetime- and
 /// type-erased chunk runner plus completion bookkeeping. The raw pointer
 /// stays valid because the submitting call blocks (work-helping) until
 /// `pending` reaches zero, and only then lets the pointee drop.
@@ -143,7 +145,7 @@ fn job_for<F: Fn(usize, usize) + Sync>(runner: &F, pending: usize) -> Arc<JobCor
 
 /// Capacity of the bounded-injector backpressure mode: at most `cap`
 /// detached tasks (submitted through [`Pool::try_submit`]) may wait in
-/// the injector at once. Chunked jobs (`parallel_for` family) are not
+/// the injector at once. Chunked jobs (`parallel_map` family) are not
 /// bounded — their callers help-execute and thus self-limit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BoundedQueue {
@@ -169,7 +171,7 @@ impl std::fmt::Display for QueueFull {
 
 impl std::error::Error for QueueFull {}
 
-/// One chunk of a `parallel_for`-style job: the half-open index range
+/// One chunk of a fan-out job: the half-open index range
 /// `lo..hi`.
 struct Chunk {
     job: Arc<JobCore>,
@@ -425,7 +427,7 @@ pub struct Pool {
 impl Pool {
     /// Builds a pool with `threads` total parallelism **including the
     /// submitting thread**: `threads - 1` workers are spawned, and the
-    /// caller of [`Pool::parallel_for`] works alongside them.
+    /// caller of a fan-out works alongside them.
     /// `with_threads(1)` spawns no workers and executes everything inline
     /// on the caller — the deterministic serial configuration.
     pub fn with_threads(threads: usize) -> Self {
@@ -541,67 +543,65 @@ impl Pool {
         })
     }
 
-    /// Splits `0..n` into chunks and executes `runner(lo, hi)` for each
-    /// on the serving pool (see the crate docs).
-    fn run_chunked<F>(&self, n: usize, grain: usize, runner: &F) -> Result<(), TaskPanic>
+    /// Maps `f` over `0..n` into a `Vec` in index order, splitting the
+    /// range into chunks of at least `grain` indices executed across the
+    /// pool. Returns a [`TaskPanic`] error if any invocation panicked
+    /// (every chunk still runs to completion or unwinds before this
+    /// returns).
+    fn map_chunked<U, F>(&self, n: usize, grain: usize, f: F) -> Result<Vec<U>, TaskPanic>
     where
-        F: Fn(usize, usize) + Sync,
+        U: Send,
+        F: Fn(usize) -> U + Sync,
     {
-        self.on_serving_pool(|shared, me| shared.run_chunked(me, n, grain, runner))
-    }
+        struct SlotPtr<U>(*mut Option<U>);
+        // SAFETY: the pointer is only used through `write`, whose callers
+        // write disjoint slots; moving a `U` to another thread needs only
+        // `U: Send`.
+        unsafe impl<U: Send> Sync for SlotPtr<U> {}
+        unsafe impl<U: Send> Send for SlotPtr<U> {}
+        impl<U> SlotPtr<U> {
+            /// # Safety
+            /// Each index must be written at most once while the backing
+            /// buffer is alive and no other reference observes slot `i`.
+            unsafe fn write(&self, i: usize, v: U) {
+                unsafe { *self.0.add(i) = Some(v) }
+            }
+        }
 
-    /// Runs `f(i)` for every `i in 0..n`, splitting the range into chunks
-    /// of at least `grain` indices executed across the pool. Returns a
-    /// [`TaskPanic`] error if any invocation panicked (every chunk still
-    /// runs to completion or unwinds before this returns).
-    pub fn try_parallel_for<F>(&self, n: usize, grain: usize, f: F) -> Result<(), TaskPanic>
-    where
-        F: Fn(usize) + Sync,
-    {
+        let mut out: Vec<Option<U>> = Vec::with_capacity(n);
+        out.resize_with(n, || None);
+        let slots = SlotPtr(out.as_mut_ptr());
         let runner = |lo: usize, hi: usize| {
             for i in lo..hi {
-                f(i);
+                let v = f(i);
+                // SAFETY: chunks partition 0..n, so each index is visited
+                // exactly once and writes land in disjoint slots of a
+                // buffer that outlives the call.
+                unsafe { slots.write(i, v) };
             }
         };
-        self.run_chunked(n, grain, &runner)
-    }
-
-    /// Like [`Pool::try_parallel_for`], but rethrows a task panic on the
-    /// calling thread.
-    pub fn parallel_for<F>(&self, n: usize, grain: usize, f: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        if let Err(e) = self.try_parallel_for(n, grain, f) {
-            e.resume();
-        }
+        self.on_serving_pool(|shared, me| shared.run_chunked(me, n, grain, &runner))?;
+        let collected: Vec<U> = out.into_iter().flatten().collect();
+        debug_assert_eq!(collected.len(), n, "map_chunked lost a slot");
+        Ok(collected)
     }
 
     /// Maps `f` over `0..n` into a `Vec` in index order, computing the
-    /// entries across the pool. Chunking follows `grain` as in
-    /// [`Pool::parallel_for`]. Task panics are rethrown on the caller.
+    /// entries across the pool in chunks of at least `grain` indices.
+    /// Task panics are rethrown on the caller.
     pub fn parallel_map<U, F>(&self, n: usize, grain: usize, f: F) -> Vec<U>
     where
         U: Send,
         F: Fn(usize) -> U + Sync,
     {
-        match self.try_parallel_map(n, grain, f) {
+        match self.map_chunked(n, grain, f) {
             Ok(v) => v,
             Err(e) => e.resume(),
         }
     }
 
-    /// Fallible variant of [`Pool::parallel_map`].
-    pub fn try_parallel_map<U, F>(&self, n: usize, grain: usize, f: F) -> Result<Vec<U>, TaskPanic>
-    where
-        U: Send,
-        F: Fn(usize) -> U + Sync,
-    {
-        self.try_parallel_map_with(n, grain, || (), |(), i| f(i))
-    }
-
     /// Fans `f` out over `0..n` (grain 1, one task per index) with
-    /// **per-index panic containment**: unlike [`Pool::try_parallel_map`],
+    /// **per-index panic containment**: unlike [`Pool::parallel_map`],
     /// where one panicking index fails the whole job, each index's
     /// outcome is reported independently as `Ok(value)` or
     /// `Err(TaskPanic)` in index order. This is the scatter-gather
@@ -612,7 +612,7 @@ impl Pool {
         U: Send,
         F: Fn(usize) -> U + Sync,
     {
-        match self.try_parallel_map(n, 1, |i| {
+        match self.map_chunked(n, 1, |i| {
             panic::catch_unwind(AssertUnwindSafe(|| f(i)))
                 .map_err(|payload| TaskPanic::from_payload(payload.as_ref()))
         }) {
@@ -623,103 +623,20 @@ impl Pool {
         }
     }
 
-    /// Like [`Pool::parallel_map`] with per-chunk scratch state: `init`
-    /// builds one `S` per executed chunk and `f(&mut scratch, i)` reuses
-    /// it across that chunk's indices — the pattern for amortizing a
-    /// work buffer (e.g. an ADC distance table) over a block of queries
-    /// without allocating per element. Task panics are rethrown.
-    pub fn parallel_map_with<S, U, I, F>(&self, n: usize, grain: usize, init: I, f: F) -> Vec<U>
-    where
-        U: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize) -> U + Sync,
-    {
-        match self.try_parallel_map_with(n, grain, init, f) {
-            Ok(v) => v,
-            Err(e) => e.resume(),
-        }
-    }
-
-    /// Fallible variant of [`Pool::parallel_map_with`].
-    pub fn try_parallel_map_with<S, U, I, F>(
-        &self,
-        n: usize,
-        grain: usize,
-        init: I,
-        f: F,
-    ) -> Result<Vec<U>, TaskPanic>
-    where
-        U: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize) -> U + Sync,
-    {
-        struct SlotPtr<U>(*mut Option<U>);
-        unsafe impl<U: Send> Sync for SlotPtr<U> {}
-        unsafe impl<U: Send> Send for SlotPtr<U> {}
-        impl<U> SlotPtr<U> {
-            /// # Safety
-            /// Each index must be written at most once while the backing
-            /// buffer is alive and no other reference observes slot `i`.
-            unsafe fn write(&self, i: usize, v: U) {
-                unsafe { *self.0.add(i) = Some(v) }
-            }
-        }
-
-        let mut out: Vec<Option<U>> = Vec::with_capacity(n);
-        out.resize_with(n, || None);
-        let slots = SlotPtr(out.as_mut_ptr());
-        let runner = |lo: usize, hi: usize| {
-            let mut scratch = init();
-            for i in lo..hi {
-                let v = f(&mut scratch, i);
-                // SAFETY: chunks partition 0..n, so each index is visited
-                // exactly once and writes land in disjoint slots of a
-                // buffer that outlives the call.
-                unsafe { slots.write(i, v) };
-            }
-        };
-        self.run_chunked(n, grain, &runner)?;
-        let collected: Vec<U> = out.into_iter().flatten().collect();
-        debug_assert_eq!(collected.len(), n, "parallel_map lost a slot");
-        Ok(collected)
-    }
-
-    /// Like [`Pool::try_parallel_map_traced`], but rethrows a task
-    /// panic on the calling thread.
-    pub fn parallel_map_traced<U, F>(
-        &self,
-        n: usize,
-        grain: usize,
-        parent: &TraceSpan,
-        chunk_name: &'static str,
-        f: F,
-    ) -> Vec<U>
-    where
-        U: Send,
-        F: Fn(usize) -> U + Sync,
-    {
-        match self.try_parallel_map_traced(n, grain, parent, chunk_name, f) {
-            Ok(v) => v,
-            Err(e) => e.resume(),
-        }
-    }
-
-    /// Traced [`Pool::try_parallel_map`]: maps `f` over `0..n` with one
-    /// `pool.chunk` child span per chunk under `parent`, annotated with
-    /// the chunk's `lo`/`hi` range and stamped with the worker thread
-    /// that ran it.
-    ///
-    /// Unlike the untraced paths, chunking here is derived from `n` and
-    /// `grain` **only** — never from the worker count — so the span
-    /// tree a request produces has an identical shape at every pool
-    /// width (only the `thread` ordinal each chunk records may differ).
-    /// All chunk spans are created sequentially on the calling thread
-    /// before execution begins, which pins their span ids.
+    /// Fallible map over `0..n` in chunks derived from `n` and `grain`
+    /// **only** — never from the worker count. With a `parent` span,
+    /// each chunk gets one `chunk_name` child span annotated with its
+    /// `lo`/`hi` range and stamped with the worker thread that ran it,
+    /// so the span tree a request produces has an identical shape at
+    /// every pool width (only the `thread` ordinal each chunk records
+    /// may differ). All chunk spans are created sequentially on the
+    /// calling thread before execution begins, which pins their span
+    /// ids. A task panic surfaces as a [`TaskPanic`] error.
     pub fn try_parallel_map_traced<U, F>(
         &self,
         n: usize,
         grain: usize,
-        parent: &TraceSpan,
+        parent: Option<&TraceSpan>,
         chunk_name: &'static str,
         f: F,
     ) -> Result<Vec<U>, TaskPanic>
@@ -727,18 +644,6 @@ impl Pool {
         U: Send,
         F: Fn(usize) -> U + Sync,
     {
-        struct SlotPtr<U>(*mut Option<U>);
-        unsafe impl<U: Send> Sync for SlotPtr<U> {}
-        unsafe impl<U: Send> Send for SlotPtr<U> {}
-        impl<U> SlotPtr<U> {
-            /// # Safety
-            /// Each index must be written at most once while the backing
-            /// buffer is alive and no other reference observes slot `i`.
-            unsafe fn write(&self, i: usize, v: U) {
-                unsafe { *self.0.add(i) = Some(v) }
-            }
-        }
-
         if n == 0 {
             return Ok(Vec::new());
         }
@@ -749,98 +654,34 @@ impl Pool {
             .map(|t| (t * chunk, ((t + 1) * chunk).min(n)))
             .filter(|&(lo, hi)| lo < hi)
             .collect();
-        let spans: Vec<TraceSpan> = ranges
-            .iter()
-            .map(|&(lo, hi)| {
-                let span = parent.child_deferred(chunk_name);
-                span.annotate("lo", lo as u64);
-                span.annotate("hi", hi as u64);
-                span
+        let spans: Vec<TraceSpan> = parent
+            .map(|parent| {
+                ranges
+                    .iter()
+                    .map(|&(lo, hi)| {
+                        let span = parent.child_deferred(chunk_name);
+                        span.annotate("lo", lo as u64);
+                        span.annotate("hi", hi as u64);
+                        span
+                    })
+                    .collect()
             })
-            .collect();
-
-        let mut out: Vec<Option<U>> = Vec::with_capacity(n);
-        out.resize_with(n, || None);
-        let slots = SlotPtr(out.as_mut_ptr());
-        // The outer run covers *chunk indices*; its own width-dependent
-        // re-chunking only groups chunk spans per task and never changes
-        // how many `pool.chunk` spans exist.
-        let runner = |clo: usize, chi: usize| {
-            for ci in clo..chi {
-                let (lo, hi) = ranges[ci];
-                spans[ci].begin();
-                for i in lo..hi {
-                    let v = f(i);
-                    // SAFETY: chunk ranges partition 0..n, so each index
-                    // is visited exactly once and writes land in disjoint
-                    // slots of a buffer that outlives the call.
-                    unsafe { slots.write(i, v) };
-                }
-                spans[ci].finish();
+            .unwrap_or_default();
+        // One task per chunk: the pool's own width-dependent grouping of
+        // tasks never changes how many chunks (or chunk spans) exist.
+        let per_chunk = self.map_chunked(ranges.len(), 1, |ci| {
+            let (lo, hi) = ranges[ci];
+            let span = spans.get(ci);
+            if let Some(span) = span {
+                span.begin();
             }
-        };
-        self.run_chunked(ranges.len(), 1, &runner)?;
-        let collected: Vec<U> = out.into_iter().flatten().collect();
-        debug_assert_eq!(collected.len(), n, "parallel_map_traced lost a slot");
-        Ok(collected)
-    }
-
-    /// Runs two closures, potentially in parallel: `b` is offered to the
-    /// serving pool while the caller runs `a`, then the caller helps
-    /// until `b` finishes. Panics from either side are rethrown once both
-    /// settled.
-    pub fn join<A, B, RA, RB>(&self, a: A, b: B) -> (RA, RB)
-    where
-        A: FnOnce() -> RA + Send,
-        B: FnOnce() -> RB + Send,
-        RA: Send,
-        RB: Send,
-    {
-        self.on_serving_pool(|shared, me| shared.join(me, a, b))
-    }
-}
-
-impl Shared {
-    fn join<A, B, RA, RB>(&self, me: Option<usize>, a: A, b: B) -> (RA, RB)
-    where
-        A: FnOnce() -> RA + Send,
-        B: FnOnce() -> RB + Send,
-        RA: Send,
-        RB: Send,
-    {
-        if self.deques.len() + usize::from(me.is_none()) == 1 {
-            return (a(), b());
-        }
-        let cell: Mutex<(Option<B>, Option<RB>)> = Mutex::new((Some(b), None));
-        let runner = |_lo: usize, _hi: usize| {
-            let mut g = lock(&cell);
-            if let Some(bf) = g.0.take() {
-                let rb = bf();
-                g.1 = Some(rb);
+            let out: Vec<U> = (lo..hi).map(&f).collect();
+            if let Some(span) = span {
+                span.finish();
             }
-        };
-        let job = job_for(&runner, 1);
-        self.push_chunks(vec![Chunk { job: Arc::clone(&job), lo: 0, hi: 1 }], me);
-        // run `a` on the caller; contain its panic so we never unwind
-        // while `b` may still borrow `runner`/`cell` from this frame
-        let ra = panic::catch_unwind(AssertUnwindSafe(a));
-        self.help_until_done(me, &job);
-        let b_panic = lock(&job.panic_payload).take();
-        match ra {
-            Err(payload) => panic::resume_unwind(payload),
-            Ok(ra) => {
-                if let Some(payload) = b_panic {
-                    panic::resume_unwind(payload);
-                }
-                let rb = lock(&cell).1.take();
-                match rb {
-                    Some(rb) => (ra, rb),
-                    // unreachable: no recorded panic implies `b` stored
-                    // its result; keep a structured fallback regardless
-                    None => TaskPanic { message: "join: task result missing".to_owned() }.resume(),
-                }
-            }
-        }
+            out
+        })?;
+        Ok(per_chunk.into_iter().flatten().collect())
     }
 }
 
@@ -881,12 +722,12 @@ mod tests {
     use std::sync::atomic::AtomicU64;
 
     #[test]
-    fn parallel_for_visits_every_index_once() {
+    fn parallel_map_visits_every_index_once() {
         for threads in [1, 2, 4] {
             let pool = Pool::with_threads(threads);
             let n = 1000;
             let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-            pool.parallel_for(n, 7, |i| {
+            pool.parallel_map(n, 7, |i| {
                 hits[i].fetch_add(1, Ordering::Relaxed);
             });
             assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
@@ -936,41 +777,19 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_with_reuses_scratch_per_chunk() {
-        for threads in [1, 4] {
-            let pool = Pool::with_threads(threads);
-            let inits = AtomicUsize::new(0);
-            let out = pool.parallel_map_with(
-                100,
-                10,
-                || {
-                    inits.fetch_add(1, Ordering::Relaxed);
-                    Vec::<usize>::with_capacity(16)
-                },
-                |scratch, i| {
-                    scratch.push(i);
-                    i * 2
-                },
-            );
-            assert!(out.iter().enumerate().all(|(i, &v)| v == i * 2));
-            let built = inits.load(Ordering::Relaxed);
-            assert!((1..=10).contains(&built), "scratch built {built} times");
-        }
-    }
-
-    #[test]
     fn zero_len_and_single_index_work() {
         let pool = Pool::with_threads(4);
-        pool.parallel_for(0, 8, |_| unreachable!("no indices"));
+        let none: Vec<()> = pool.parallel_map(0, 8, |_| unreachable!("no indices"));
+        assert!(none.is_empty());
         let out = pool.parallel_map(1, 8, |i| i + 41);
         assert_eq!(out, vec![41]);
     }
 
     #[test]
-    fn nested_parallel_for_completes() {
+    fn nested_parallel_map_completes() {
         let pool = Pool::with_threads(4);
         let total = AtomicU64::new(0);
-        pool.parallel_for(8, 1, |i| {
+        pool.parallel_map(8, 1, |i| {
             // nested submission from both worker and caller threads
             let local: u64 = pool
                 .parallel_map(10, 2, |j| (i * 10 + j) as u64)
@@ -983,11 +802,11 @@ mod tests {
     }
 
     #[test]
-    fn try_parallel_for_surfaces_panic_as_error() {
+    fn try_parallel_map_surfaces_panic_as_error() {
         for threads in [1, 4] {
             let pool = Pool::with_threads(threads);
             let err = pool
-                .try_parallel_for(64, 4, |i| {
+                .try_parallel_map_traced(64, 4, None, names::SPAN_POOL_CHUNK, |i| {
                     if i == 13 {
                         panic!("boom at 13");
                     }
@@ -1002,34 +821,13 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "deliberate")]
-    fn parallel_for_rethrows_panic() {
+    fn parallel_map_rethrows_panic() {
         let pool = Pool::with_threads(4);
-        pool.parallel_for(16, 1, |i| {
+        pool.parallel_map(16, 1, |i| {
             if i == 5 {
                 panic!("deliberate");
             }
         });
-    }
-
-    #[test]
-    fn join_runs_both_sides() {
-        for threads in [1, 4] {
-            let pool = Pool::with_threads(threads);
-            let (a, b) = pool.join(|| 2 + 2, || "ok".len());
-            assert_eq!((a, b), (4, 2));
-        }
-    }
-
-    #[test]
-    fn join_from_inside_parallel_for() {
-        let pool = Pool::with_threads(3);
-        let acc = AtomicU64::new(0);
-        pool.parallel_for(6, 1, |i| {
-            let (a, b) = pool.join(|| i as u64, || (i * i) as u64);
-            acc.fetch_add(a + b, Ordering::Relaxed);
-        });
-        let expect: u64 = (0..6u64).map(|i| i + i * i).sum();
-        assert_eq!(acc.load(Ordering::Relaxed), expect);
     }
 
     #[test]
@@ -1053,7 +851,7 @@ mod tests {
             let trace = Trace::start(threads as u64, TraceClock::virtual_shared(ns));
             let root = trace.root(names::SPAN_LOOKUP_REQUEST);
             let out = pool
-                .try_parallel_map_traced(100, 13, &root, names::SPAN_POOL_CHUNK, |i| i * 2)
+                .try_parallel_map_traced(100, 13, Some(&root), names::SPAN_POOL_CHUNK, |i| i * 2)
                 .unwrap();
             root.finish();
             assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>());
@@ -1079,7 +877,7 @@ mod tests {
         let trace = Trace::start(1, TraceClock::real());
         let root = trace.root(names::SPAN_LOOKUP_REQUEST);
         let err = pool
-            .try_parallel_map_traced(32, 4, &root, names::SPAN_POOL_CHUNK, |i| {
+            .try_parallel_map_traced(32, 4, Some(&root), names::SPAN_POOL_CHUNK, |i| {
                 if i == 17 {
                     panic!("chunk boom");
                 }
@@ -1174,7 +972,7 @@ mod tests {
     #[test]
     fn drop_joins_workers() {
         let pool = Pool::with_threads(4);
-        pool.parallel_for(100, 5, |_| {});
+        pool.parallel_map(100, 5, |_| {});
         drop(pool); // must not hang
     }
 
@@ -1243,7 +1041,7 @@ mod tests {
             let me = std::thread::current().id();
             *lock(&a_owner) = Some(me);
             a_in.store(true, Ordering::Release);
-            Pool::global().parallel_for(2, 1, |_| {
+            Pool::global().parallel_map(2, 1, |_| {
                 if std::thread::current().id() == me {
                     wait_for(&a_stolen);
                 } else {

@@ -15,7 +15,7 @@
 //! rung breaks score ties by entity id, so responses are bit-identical
 //! across pool widths and repeat runs.
 
-use emblookup_ann::{FlatIndex, VectorSet};
+use emblookup_ann::{AnnIndex, FlatIndex, VectorSet};
 use emblookup_core::EmbLookup;
 use emblookup_kg::{EntityId, KnowledgeGraph};
 use emblookup_text::distance::qgram_jaccard;

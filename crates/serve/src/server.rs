@@ -957,7 +957,7 @@ fn sharded_search(
     parent: &TraceSpan,
 ) -> (Option<Vec<(EntityId, f32)>>, usize, usize) {
     let (per_shard, ok, total) = scatter_shards(state, sharded, clock, req, parent, &|shard, span| {
-        shard.search_traced(emb, k, span)
+        shard.search_traced(emb, k, Some(span))
     });
     if ok == 0 {
         return (None, 0, total);
@@ -1089,7 +1089,7 @@ fn handle_lookup(
                     }
                     merged
                 }
-                None => Some(state.service.index().search_traced(&emb, k, &search_span)),
+                None => Some(state.service.index().search_traced(&emb, k, Some(&search_span))),
             };
             match hits {
                 Some(mut hits) => {
@@ -1264,7 +1264,7 @@ fn handle_bulk(
                 })
                 .collect()
         }
-        None => match state.service.try_bulk_lookup_traced(&refs, k, &search_span) {
+        None => match state.service.try_bulk_lookup(&refs, k, Some(&search_span)) {
             Ok(b) => b,
             Err(_) => {
                 state.metrics.errors.inc();

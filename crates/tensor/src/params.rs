@@ -111,6 +111,13 @@ impl ParamStore {
         }
         for i in 0..count {
             let rank = read_u64(&mut cur)? as usize;
+            if rank != self.params[i].shape().len() {
+                return Err(format!(
+                    "rank mismatch for parameter {i} ({}): stored {rank}, expected {}",
+                    self.names[i],
+                    self.params[i].shape().len()
+                ));
+            }
             let mut shape = Vec::with_capacity(rank);
             for _ in 0..rank {
                 shape.push(read_u64(&mut cur)? as usize);
@@ -124,6 +131,10 @@ impl ParamStore {
                 ));
             }
             let n: usize = shape.iter().product();
+            match n.checked_mul(4) {
+                Some(need) if need <= bytes.len() - cur => {}
+                _ => return Err("truncated buffer".into()),
+            }
             let mut data = Vec::with_capacity(n);
             for _ in 0..n {
                 let end = cur + 4;
@@ -220,6 +231,17 @@ mod tests {
         fresh.load_bytes(&bytes).unwrap();
         assert_eq!(fresh.get(a).data(), &[1.0, -2.5, 3.25]);
         assert_eq!(fresh.get(b).data(), &[0.5; 4]);
+    }
+
+    #[test]
+    fn load_rejects_hostile_rank_before_allocating() {
+        // one parameter claiming a rank of u64::MAX dimensions
+        let mut store = ParamStore::new();
+        store.register("w", Tensor::zeros(&[2, 2]));
+        let mut bytes = 1u64.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&u64::MAX.to_le_bytes());
+        let err = store.load_bytes(&bytes).expect_err("hostile rank");
+        assert!(err.contains("rank mismatch"), "{err}");
     }
 
     #[test]

@@ -27,7 +27,7 @@ fn main() {
         ("PQ 8x256 (EL)", Compression::default_pq()),
         ("PCA k=8", Compression::Pca { k: 8 }),
         ("IVF 32/6", Compression::Ivf { nlist: 32, nprobe: 6 }),
-        ("HNSW m=12", Compression::Hnsw { m: 12, ef_search: 48 }),
+        ("HNSW-PQ m=12", Compression::HnswPq { m: 12, ef_search: 96, pq_m: 8, pq_ks: 16 }),
     ];
 
     // workload: every entity label, corrupted once

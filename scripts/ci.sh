@@ -16,6 +16,19 @@ leg_width() {
 echo "== cargo build --release --offline =="
 cargo build --release --offline
 
+# The benchmark (perfbench/, its own cargo workspace) builds the system
+# from these crates by path: a change to a public item it uses must fail
+# here, not in the benchmark run. --smoke runs every workload for one
+# second on a tiny KG and checks the answers and declared metrics.
+echo "== perfbench --smoke =="
+perf_start=$(date +%s)
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --smoke
+echo "perfbench --smoke took $(( $(date +%s) - perf_start ))s"
+
+echo "== size =="
+echo "rust lines (crates, src, tests, examples): $(find crates src tests examples -name '*.rs' -print0 | xargs -0 cat | wc -l)"
+echo "API.lock items: $(grep -cv '^#\|^\[\|^$' API.lock)"
+
 # Tests run twice: pinned to one thread (pure serial pool paths) and at the
 # machine default. Batch kernels write disjoint output slots, so both
 # configurations must produce identical results — divergence is a bug.

@@ -1,11 +1,16 @@
 //! Cross-backend contract test: every index in `emblookup-ann` answers the
-//! same workload with consistent semantics (sorted results, bounded k) and
+//! same workload through the one [`AnnIndex`] trait with consistent
+//! semantics (sorted, distinct, bounded by k, a non-zero visited count),
+//! identical traced and untraced answers behind an `EntityIndex`, and
 //! reasonable recall against the exact flat index.
 
 use emblookup::ann::{
-    lsh::LshConfig, FlatIndex, HnswConfig, HnswIndex, IvfConfig, IvfIndex, IvfPqConfig,
-    IvfPqIndex, Neighbor, PqConfig, PqIndex, RefinedPqIndex, SqIndex, VectorSet,
+    lsh::LshConfig, AnnIndex, FlatIndex, HnswConfig, HnswIndex, HnswPqConfig, HnswPqIndex,
+    IvfConfig, IvfIndex, PcaIndex, PqConfig, PqIndex, VectorSet,
 };
+use emblookup::core::EntityIndex;
+use emblookup::kg::EntityId;
+use emblookup::obs::{names, AnnoValue, Trace, TraceClock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -19,16 +24,11 @@ fn random_set(n: usize, dim: usize, seed: u64) -> VectorSet {
     vs
 }
 
-fn recall_vs_flat(
-    flat: &FlatIndex,
-    search: &dyn Fn(&[f32], usize) -> Vec<Neighbor>,
-    queries: &VectorSet,
-    k: usize,
-) -> f64 {
+fn recall_vs_flat(flat: &FlatIndex, index: &dyn AnnIndex, queries: &VectorSet, k: usize) -> f64 {
     let mut acc = 0.0;
     for q in queries.iter() {
         let truth: Vec<usize> = flat.search(q, k).iter().map(|n| n.index).collect();
-        let got: Vec<usize> = search(q, k).iter().map(|n| n.index).collect();
+        let got: Vec<usize> = index.search(q, k).iter().map(|n| n.index).collect();
         acc += truth.iter().filter(|i| got.contains(i)).count() as f64 / k as f64;
     }
     acc / queries.len() as f64
@@ -41,41 +41,64 @@ fn all_backends_honor_the_search_contract() {
     let flat = FlatIndex::new(data.clone());
 
     let pq_cfg = PqConfig { m: 4, ks: 32, kmeans_iters: 8, seed: 0 };
-    let pq = PqIndex::build(&data, pq_cfg);
-    let refined = RefinedPqIndex::new(PqIndex::build(&data, pq_cfg), data.clone(), 6);
-    let ivf = IvfIndex::build(data.clone(), IvfConfig { nlist: 16, nprobe: 6, kmeans_iters: 8, seed: 0 });
-    let ivfpq = IvfPqIndex::build(
-        &data,
-        IvfPqConfig { nlist: 16, nprobe: 8, pq: pq_cfg, kmeans_iters: 8, seed: 0 },
-    );
-    let hnsw = HnswIndex::build(data.clone(), HnswConfig::default());
-    let sq = SqIndex::build(&data);
-
-    type SearchFn = Box<dyn Fn(&[f32], usize) -> Vec<Neighbor>>;
-    let backends: Vec<(&str, SearchFn, f64)> = vec![
-        ("pq", Box::new(move |q, k| pq.search(q, k)), 0.45),
-        ("refined_pq", Box::new(move |q, k| refined.search(q, k)), 0.85),
-        ("ivf", Box::new(move |q, k| ivf.search(q, k)), 0.55),
-        ("ivfpq", Box::new(move |q, k| ivfpq.search(q, k)), 0.35),
-        ("hnsw", Box::new(move |q, k| hnsw.search(q, k)), 0.80),
-        ("sq8", Box::new(move |q, k| sq.search(q, k)), 0.90),
+    let hnsw_cfg = HnswConfig::default();
+    let backends: Vec<(Box<dyn AnnIndex>, f64)> = vec![
+        (Box::new(FlatIndex::new(data.clone())), 1.0),
+        (Box::new(PqIndex::build(&data, pq_cfg)), 0.45),
+        (Box::new(PcaIndex::build(&data, 12, 0)), 0.35),
+        (
+            Box::new(IvfIndex::build(
+                data.clone(),
+                IvfConfig { nlist: 16, nprobe: 6, kmeans_iters: 8, seed: 0 },
+            )),
+            0.55,
+        ),
+        (Box::new(HnswIndex::build(data.clone(), hnsw_cfg)), 0.80),
+        (
+            Box::new(HnswPqIndex::build(
+                &data,
+                HnswPqConfig { hnsw: HnswConfig { ef_search: 96, ..hnsw_cfg }, pq: pq_cfg },
+            )),
+            0.80,
+        ),
     ];
+    let ids: Vec<EntityId> = (0..data.len() as u32).map(EntityId).collect();
 
-    for (name, search, min_recall) in &backends {
-        // contract: sorted ascending, distinct, bounded by k
-        let hits = search(queries.get(0), 10);
+    for (backend, min_recall) in backends {
+        let name = backend.name();
+        // contract: sorted ascending, distinct, bounded by k, work counted
+        let (hits, visited) = backend.search_visited(queries.get(0), 10);
         assert!(hits.len() <= 10, "{name} overflowed k");
         for w in hits.windows(2) {
             assert!(w[0].dist <= w[1].dist, "{name} returned unsorted results");
         }
-        let mut ids: Vec<usize> = hits.iter().map(|n| n.index).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), hits.len(), "{name} returned duplicates");
+        let mut rows: Vec<usize> = hits.iter().map(|n| n.index).collect();
+        rows.sort_unstable();
+        rows.dedup();
+        assert_eq!(rows.len(), hits.len(), "{name} returned duplicates");
+        assert!(visited > 0, "{name} must report visited > 0");
+        assert_eq!(backend.search(queries.get(0), 10), hits, "{name} search differs");
 
         // recall floor
-        let r = recall_vs_flat(&flat, search.as_ref(), &queries, 10);
-        assert!(r >= *min_recall, "{name} recall@10 {r} below floor {min_recall}");
+        let r = recall_vs_flat(&flat, backend.as_ref(), &queries, 10);
+        assert!(r >= min_recall, "{name} recall@10 {r} below floor {min_recall}");
+
+        // traced and untraced answers agree, and the span is annotated
+        let index = EntityIndex::from_backend(ids.clone(), backend);
+        assert_eq!(index.backend_name(), name);
+        for q in queries.iter().take(5) {
+            let trace = Trace::start(1, TraceClock::real());
+            let root = trace.root(names::SPAN_STAGE_SEARCH);
+            let traced = index.search_traced(q, 10, Some(&root));
+            root.finish();
+            assert_eq!(traced, index.search(q, 10), "{name} traced differs");
+            let data = trace.snapshot();
+            assert_eq!(data.root_annotation("backend"), Some(AnnoValue::Str(name)));
+            assert!(
+                matches!(data.root_annotation("visited"), Some(AnnoValue::U64(v)) if v > 0),
+                "{name} span must carry visited > 0"
+            );
+        }
     }
 }
 
